@@ -1385,14 +1385,13 @@ int cmd_requarantine(util::Flags& flags) {
 /// Never mutates anything — safe to run against a live server's state
 /// directory (segments are append-only; SNAPSHOT is replaced atomically).
 int cmd_wal(util::Flags& flags) {
-  namespace rlog = util::record_log;
   flags.allow({"state-dir", "session", "json", "help"});
   if (!flags.ok() || flags.get_bool("help")) {
     std::cerr << "netdiag wal --state-dir DIR [--session NAME] [--json]\n"
                  "verifies and summarizes each session's write-ahead journal:"
                  " record counts,\nLSN ranges, per-source ack watermarks, and"
-                 " the offset of the first corrupt\nframe (exit 1 when any"
-                 " corruption is found)\n";
+                 " why recovery would quarantine it\n(exit 1 when any"
+                 " damage is found)\n";
     for (const auto& e : flags.errors()) std::cerr << "  " << e << "\n";
     return flags.ok() ? 0 : 2;
   }
@@ -1414,97 +1413,83 @@ int cmd_wal(util::Flags& flags) {
     const auto decoded = svc::decode_session_dir(dir_name);
     const std::string name = decoded.value_or("?" + dir_name);
     if (!filter.empty() && name != filter) continue;
-    const std::string dir = state_dir + "/sessions/" + dir_name;
-    const svc::Inspection insp = svc::inspect_session_dir(dir);
+    svc::Inspection insp;
+    std::string error;
+    if (!svc::inspect_session_dir(state_dir + "/sessions/" + dir_name, &insp,
+                                  &error)) {
+      std::cerr << "netdiag: wal: session \"" << name << "\": " << error
+                << "\n";
+      any_corrupt = true;
+      continue;
+    }
+    const bool corrupt = !insp.damage.empty();
+    any_corrupt = any_corrupt || corrupt;
 
-    // The snapshot's LSN floor and ack watermarks, then the journal's
-    // records on top — the same fold recovery performs.
-    std::uint64_t wal = 0;
-    bool snapshot_ok = !insp.has_snapshot;
+    // The snapshot's ack watermarks, then the journal's records above its
+    // floor on top — the same fold recovery performs.
     std::map<std::string, std::uint64_t> acks;
-    if (insp.has_snapshot) {
-      const auto doc = svc::Json::parse(insp.snapshot, nullptr);
-      const svc::Json* w =
-          doc && doc->is_object() ? doc->find("wal") : nullptr;
-      if (w != nullptr && w->is_number() && w->as_int() >= 0) {
-        snapshot_ok = true;
-        wal = static_cast<std::uint64_t>(w->as_int());
-        if (const svc::Json* a = doc->find("src_acks");
-            a != nullptr && a->is_object()) {
-          for (const auto& [src, seq] : a->members()) {
-            if (seq.is_number() && seq.as_int() >= 0) {
-              acks[src] = static_cast<std::uint64_t>(seq.as_int());
-            }
+    if (insp.snapshot.has_value()) {
+      const auto doc = svc::Json::parse(*insp.snapshot, nullptr);
+      if (const svc::Json* a = doc && doc->is_object() ? doc->find("src_acks")
+                                                       : nullptr;
+          a != nullptr && a->is_object()) {
+        for (const auto& [src, seq] : a->members()) {
+          if (seq.is_number() && seq.as_int() >= 0) {
+            acks[src] = static_cast<std::uint64_t>(seq.as_int());
           }
         }
       }
     }
-
     std::size_t records = 0;
     std::uint64_t first_lsn = 0, last_lsn = 0;
-    std::string corrupt_file;
-    std::uint64_t corrupt_offset = 0;
-    for (std::size_t i = 0; i < insp.segments.size(); ++i) {
-      const auto& seg = insp.segments[i];
-      const bool is_last = i + 1 == insp.segments.size();
-      const auto& scan = seg.scan;
-      const bool corrupt =
-          scan.verdict == rlog::Scan::Verdict::kCorrupt ||
-          (scan.verdict == rlog::Scan::Verdict::kTornTail && !is_last);
-      if (corrupt && corrupt_file.empty()) {
-        corrupt_file = seg.path;
-        corrupt_offset = scan.good_bytes;
-      }
-      records += scan.records;
-      if (scan.records > 0) {
-        if (first_lsn == 0) first_lsn = scan.first_seq;
-        last_lsn = scan.last_seq;
-      }
-      if (const auto bytes = util::read_file(seg.path, nullptr);
-          bytes.has_value()) {
-        rlog::for_each(
-            std::string_view(bytes->data(),
-                             std::min<std::size_t>(bytes->size(),
-                                                   scan.good_bytes)),
-            [&](std::uint64_t lsn, std::string_view payload) {
-              if (lsn <= wal) return true;
-              const auto rec = svc::Json::parse(payload, nullptr);
-              if (!rec || !rec->is_object()) return true;
-              const svc::Json* t = rec->find("t");
-              if (t == nullptr || !t->is_string()) return true;
-              if (t->as_string() == "baseline") {
-                acks.clear();
-              } else if (t->as_string() == "bobs") {
-                const svc::Json* src = rec->find("src");
-                const svc::Json* seq = rec->find("seq");
-                if (src != nullptr && src->is_string() && seq != nullptr &&
-                    seq->is_number() && seq->as_int() >= 0) {
-                  acks[src->as_string()] =
-                      static_cast<std::uint64_t>(seq->as_int());
-                }
-              }
-              return true;
-            });
+    for (const auto& seg : insp.log.segments) {
+      records += seg.scan.records;
+      if (seg.scan.records > 0) {
+        if (first_lsn == 0) first_lsn = seg.scan.first_seq;
+        last_lsn = seg.scan.last_seq;
       }
     }
-    const bool corrupt = !snapshot_ok || !corrupt_file.empty();
-    any_corrupt = any_corrupt || corrupt;
+    // Best effort against a live server: a segment its snapshot pruned
+    // meanwhile only ends the fold early.
+    (void)util::SegmentLog::read(
+        insp.log.segments, insp.wal.value_or(0),
+        [&](std::uint64_t, std::string_view payload) {
+          const auto rec = svc::Json::parse(payload, nullptr);
+          if (!rec || !rec->is_object()) return true;
+          const svc::Json* t = rec->find("t");
+          if (t == nullptr || !t->is_string()) return true;
+          if (t->as_string() == "baseline") {
+            acks.clear();
+          } else if (t->as_string() == "bobs") {
+            const svc::Json* src = rec->find("src");
+            const svc::Json* seq = rec->find("seq");
+            if (src != nullptr && src->is_string() && seq != nullptr &&
+                seq->is_number() && seq->as_int() >= 0) {
+              acks[src->as_string()] =
+                  static_cast<std::uint64_t>(seq->as_int());
+            }
+          }
+          return true;
+        },
+        nullptr);
 
     if (as_json) {
       svc::Json js = svc::Json::object();
       js.set("session", svc::Json::string(name));
-      js.set("snapshot", svc::Json::boolean(insp.has_snapshot));
-      js.set("snapshot_wal", svc::Json::uinteger(wal));
-      js.set("segments", svc::Json::uinteger(insp.segments.size()));
+      js.set("snapshot", svc::Json::boolean(insp.snapshot.has_value()));
+      js.set("snapshot_wal", svc::Json::uinteger(insp.wal.value_or(0)));
+      js.set("segments", svc::Json::uinteger(insp.log.segments.size()));
       js.set("records", svc::Json::uinteger(records));
       js.set("first_lsn", svc::Json::uinteger(first_lsn));
       js.set("last_lsn", svc::Json::uinteger(last_lsn));
       js.set("corrupt", svc::Json::boolean(corrupt));
-      if (!corrupt_file.empty()) {
-        js.set("corrupt_file", svc::Json::string(corrupt_file));
-        js.set("corrupt_offset", svc::Json::uinteger(corrupt_offset));
+      if (corrupt) {
+        js.set("reason", svc::Json::string(insp.damage));
+        js.set("corrupt_file", svc::Json::string(insp.damage_file));
+        js.set("corrupt_offset", svc::Json::uinteger(insp.damage_offset));
       }
-      js.set("quarantined_files", svc::Json::uinteger(insp.quarantined_files));
+      js.set("quarantined_files",
+             svc::Json::uinteger(insp.log.quarantined_files));
       svc::Json jacks = svc::Json::object();
       for (const auto& [src, seq] : acks) {
         jacks.set(src, svc::Json::uinteger(seq));
@@ -1515,22 +1500,19 @@ int cmd_wal(util::Flags& flags) {
     }
     std::cout << "session \"" << name << "\"\n"
               << "  snapshot: "
-              << (insp.has_snapshot
-                      ? (snapshot_ok ? "wal " + std::to_string(wal)
-                                     : std::string("UNPARSEABLE"))
-                      : std::string("none"))
-              << "\n  journal: " << insp.segments.size() << " segment(s), "
+              << (!insp.snapshot.has_value() ? std::string("none")
+                  : insp.wal.has_value() ? "wal " + std::to_string(*insp.wal)
+                                         : std::string("UNPARSEABLE"))
+              << "\n  journal: " << insp.log.segments.size() << " segment(s), "
               << records << " record(s)";
     if (records > 0) {
       std::cout << ", lsn " << first_lsn << ".." << last_lsn;
     }
     std::cout << "\n";
-    if (!corrupt_file.empty()) {
-      std::cout << "  CORRUPT: first bad frame at offset " << corrupt_offset
-                << " in " << corrupt_file << "\n";
-    }
-    if (insp.quarantined_files > 0) {
-      std::cout << "  quarantined files: " << insp.quarantined_files << "\n";
+    if (corrupt) std::cout << "  CORRUPT: " << insp.damage << "\n";
+    if (insp.log.quarantined_files > 0) {
+      std::cout << "  quarantined files: " << insp.log.quarantined_files
+                << "\n";
     }
     if (!acks.empty()) {
       std::cout << "  watermarks:";

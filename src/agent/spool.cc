@@ -1,37 +1,23 @@
 #include "agent/spool.h"
 
-#include <dirent.h>
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "util/atomic_file.h"
 
 namespace netd::agent {
 
-namespace rlog = util::record_log;
-
 namespace {
 
 constexpr const char* kManifest = "MANIFEST";
-constexpr const char* kSegSuffix = ".ndspool";
-
-static_assert(Spool::kMaxRecordBytes == rlog::kMaxRecordBytes,
-              "spool record cap must match the shared framing's");
 
 bool fail(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what + ": " + std::strerror(errno);
   return false;
 }
-
-using Scan = rlog::Scan;
-
-Scan scan_segment(std::string_view bytes) { return rlog::scan(bytes); }
 
 }  // namespace
 
@@ -41,17 +27,6 @@ std::unique_ptr<Spool> Spool::open(Options opts, std::string* error,
   RecoveryStats local;
   if (!s->recover(error, stats != nullptr ? stats : &local)) return nullptr;
   return s;
-}
-
-Spool::~Spool() {
-  if (active_fd_ >= 0) ::close(active_fd_);
-}
-
-std::string Spool::segment_path(std::uint64_t first_seq) const {
-  char name[64];
-  std::snprintf(name, sizeof(name), "seg-%020llu%s",
-                static_cast<unsigned long long>(first_seq), kSegSuffix);
-  return opts_.dir + "/" + name;
 }
 
 bool Spool::recover(std::string* error, RecoveryStats* stats) {
@@ -77,129 +52,43 @@ bool Spool::recover(std::string* error, RecoveryStats* stats) {
   }
   stats->shipped = shipped_;
 
-  std::vector<std::string> names;
-  DIR* d = ::opendir(opts_.dir.c_str());
-  if (d == nullptr) return fail(error, "opendir " + opts_.dir);
-  while (const dirent* e = ::readdir(d)) {
-    const std::string name = e->d_name;
-    if (name.size() > std::strlen(kSegSuffix) &&
-        name.rfind(kSegSuffix) == name.size() - std::strlen(kSegSuffix) &&
-        name.rfind("seg-", 0) == 0) {
-      names.push_back(name);
-    }
-  }
-  ::closedir(d);
-  // Zero-padded first-seq in the name makes lexicographic order = append
-  // order.
-  std::sort(names.begin(), names.end());
-
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const bool is_last = i + 1 == names.size();
-    const std::string path = opts_.dir + "/" + names[i];
-    const auto bytes = util::read_file(path, error);
-    if (!bytes.has_value()) return false;
-    const Scan scan = scan_segment(*bytes);
-    const bool torn_ok =
-        scan.verdict == Scan::Verdict::kTornTail && is_last;
-    if (scan.verdict == Scan::Verdict::kCorrupt ||
-        (scan.verdict == Scan::Verdict::kTornTail && !is_last)) {
+  const util::SegmentLog::Options log_opts{opts_.dir, "seg-", ".ndspool",
+                                           opts_.max_segment_bytes};
+  util::SegmentLog::Listing listing;
+  if (!util::SegmentLog::list(log_opts, &listing, error)) return false;
+  std::vector<util::SegmentLog::Segment> keep;
+  for (auto& seg : listing.segments) {
+    if (seg.scan.verdict == util::record_log::Scan::Verdict::kCorrupt) {
       // Corruption the append path cannot produce: refuse the whole
       // segment, keep the bytes for forensics, count the loss loudly.
-      if (::rename(path.c_str(), (path + ".quarantined").c_str()) != 0) {
-        return fail(error, "quarantine " + path);
-      }
+      if (!util::SegmentLog::quarantine(seg.path, error)) return false;
       ++stats->quarantined;
-      stats->quarantined_records += scan.records;
+      stats->quarantined_records += seg.scan.records;
       continue;
     }
-    if (torn_ok && scan.good_bytes < bytes->size()) {
-      // The writer died mid-append; cut the segment back to the last
-      // complete record and resume after it.
-      if (!util::truncate_file(path, scan.good_bytes, error)) return false;
-      ++stats->torn_tails;
-      stats->torn_bytes += bytes->size() - scan.good_bytes;
-    }
-    if (scan.records == 0) {
-      // Empty-segment compaction: nothing to keep (a rotation that never
-      // received a record, or a tail truncated to zero).
-      if (::unlink(path.c_str()) != 0) return fail(error, "unlink " + path);
-      ++stats->empty_removed;
-      continue;
-    }
-    if (!opts_.retain_acked && scan.last_seq <= shipped_ && !is_last) {
-      // Resume the compaction a crash interrupted: fully-shipped history
-      // the caller does not want to retain.
-      if (::unlink(path.c_str()) != 0) return fail(error, "unlink " + path);
-      ++stats->compacted;
-      continue;
-    }
-    segments_.push_back(Segment{path, scan.first_seq, scan.last_seq,
-                                scan.good_bytes, scan.records});
-    next_seq_ = std::max(next_seq_, scan.last_seq + 1);
+    keep.push_back(std::move(seg));
   }
-  // Shedding may have dropped newer segments' predecessors but never the
-  // newest record itself; the manifest floor covers the one case where
-  // every segment is gone.
-  next_seq_ = std::max(next_seq_, shipped_ + 1);
-  stats->segments = segments_.size();
-  for (const auto& seg : segments_) stats->records += seg.records;
-  if (!segments_.empty()) {
-    if (!open_active(false, error)) return false;
-  }
+  // The manifest floor keeps seqs increasing when every segment is gone.
+  util::SegmentLog::Repair repair;
+  log_ = util::SegmentLog::open(log_opts, std::move(keep), shipped_, &repair,
+                                error);
+  if (log_ == nullptr) return false;
+  stats->torn_tails = repair.torn_tails;
+  stats->torn_bytes = repair.torn_bytes;
+  stats->empty_removed = repair.empty_removed;
+  // Resume the compaction a crash interrupted.
+  const std::size_t before = log_->segments().size();
+  if (!compact(error)) return false;
+  stats->compacted = before - log_->segments().size();
+  stats->segments = log_->segments().size();
+  for (const auto& seg : log_->segments()) stats->records += seg.scan.records;
   return true;
-}
-
-bool Spool::open_active(bool create, std::string* error) {
-  if (active_fd_ >= 0) {
-    ::close(active_fd_);
-    active_fd_ = -1;
-  }
-  if (segments_.empty()) {
-    if (!create) return true;
-    segments_.push_back(Segment{segment_path(next_seq_), next_seq_, 0, 0, 0});
-  }
-  const int flags = O_WRONLY | O_APPEND | (create ? O_CREAT : 0);
-  active_fd_ = ::open(segments_.back().path.c_str(), flags, 0644);
-  if (active_fd_ < 0) return fail(error, "open " + segments_.back().path);
-  return true;
-}
-
-bool Spool::rotate(std::string* error) {
-  if (active_fd_ >= 0) {
-    ::close(active_fd_);
-    active_fd_ = -1;
-  }
-  segments_.push_back(Segment{segment_path(next_seq_), next_seq_, 0, 0, 0});
-  return open_active(true, error);
 }
 
 std::uint64_t Spool::append(std::string_view payload, std::string* error) {
-  if (payload.size() > kMaxRecordBytes) {
-    if (error != nullptr) *error = "record exceeds kMaxRecordBytes";
-    return 0;
-  }
-  if (segments_.empty() || active_fd_ < 0) {
-    if (!open_active(true, error)) return 0;
-  } else if (segments_.back().bytes >= opts_.max_segment_bytes) {
-    if (!rotate(error)) return 0;
-  }
-  const std::uint64_t seq = next_seq_;
-  const std::string frame = rlog::encode_record(seq, payload);
-  if (!rlog::write_all_fd(active_fd_, frame.data(), frame.size())) {
-    // A partial write is exactly what recovery's torn-tail path repairs;
-    // report the failure and leave the tail for the next open().
-    fail(error, "write " + segments_.back().path);
-    return 0;
-  }
-  if (opts_.fsync_each && ::fsync(active_fd_) != 0) {
-    fail(error, "fsync " + segments_.back().path);
-    return 0;
-  }
-  Segment& seg = segments_.back();
-  seg.last_seq = seq;
-  seg.bytes += frame.size();
-  ++seg.records;
-  ++next_seq_;
+  const std::uint64_t seq = log_->append(payload, error);
+  if (seq == 0) return 0;
+  if (opts_.fsync_each && !log_->sync(error)) return 0;
   shed_over_budget();
   return seq;
 }
@@ -209,19 +98,18 @@ void Spool::shed_over_budget() {
   // Whole-segment, oldest-first shedding; the active segment is never
   // shed out from under the writer. The loss is visible twice over: the
   // DropStats counters and the seq gap the server's round count exposes.
-  while (bytes() > opts_.max_spool_bytes && segments_.size() > 1) {
-    const Segment seg = segments_.front();
-    if (::unlink(seg.path.c_str()) != 0) break;
+  while (bytes() > opts_.max_spool_bytes && log_->segments().size() > 1) {
+    const util::record_log::Scan shed = log_->segments().front().scan;
+    if (!log_->drop_oldest(nullptr)) break;
     ++dropped_.segments;
-    dropped_.records += seg.records;
-    dropped_.bytes += seg.bytes;
-    segments_.erase(segments_.begin());
+    dropped_.records += shed.records;
+    dropped_.bytes += shed.good_bytes;
   }
 }
 
 std::uint64_t Spool::bytes() const {
   std::uint64_t total = 0;
-  for (const auto& seg : segments_) total += seg.bytes;
+  for (const auto& seg : log_->segments()) total += seg.scan.good_bytes;
   return total;
 }
 
@@ -231,60 +119,22 @@ bool Spool::write_manifest(std::string* error) const {
       "{\"shipped\": " + std::to_string(shipped_) + "}\n", error);
 }
 
-bool Spool::mark_shipped(std::uint64_t upto, std::string* error) {
-  if (upto <= shipped_) return true;
-  shipped_ = upto;
-  if (!write_manifest(error)) return false;
-  if (!opts_.retain_acked) {
-    while (segments_.size() > 1 && segments_.front().last_seq <= shipped_) {
-      if (::unlink(segments_.front().path.c_str()) != 0) {
-        return fail(error, "unlink " + segments_.front().path);
-      }
-      segments_.erase(segments_.begin());
-    }
+bool Spool::compact(std::string* error) {
+  if (opts_.retain_acked) return true;
+  // Fully-shipped history the caller does not want to retain; the active
+  // segment stays.
+  while (log_->segments().size() > 1 &&
+         log_->segments().front().scan.last_seq <= shipped_) {
+    if (!log_->drop_oldest(error)) return false;
   }
   return true;
 }
 
-bool Spool::for_each(
-    std::uint64_t from,
-    const std::function<bool(std::uint64_t, std::string_view)>& fn,
-    std::string* error) const {
-  for (const auto& seg : segments_) {
-    if (seg.last_seq <= from) continue;
-    const auto bytes = util::read_file(seg.path, error);
-    if (!bytes.has_value()) return false;
-    std::size_t off = 0;
-    // Only the validated prefix: the file may have grown a torn tail
-    // since open() if a concurrent writer crashed, but within one process
-    // seg.bytes tracks exactly what append() completed.
-    while (off + rlog::kHeaderBytes <= seg.bytes &&
-           off + rlog::kHeaderBytes <= bytes->size()) {
-      const char* h = bytes->data() + off;
-      const std::uint32_t magic = rlog::get_u32(h);
-      const std::uint32_t len = rlog::get_u32(h + 4);
-      const std::uint64_t seq = rlog::get_u64(h + 8);
-      const std::uint32_t crc = rlog::get_u32(h + 16);
-      if (magic != rlog::kMagic || len > kMaxRecordBytes ||
-          bytes->size() - off - rlog::kHeaderBytes < len) {
-        if (error != nullptr) *error = "spool segment changed on disk: " +
-                                       seg.path;
-        return false;
-      }
-      const std::string_view payload(bytes->data() + off + rlog::kHeaderBytes,
-                                     len);
-      if (rlog::record_crc(seq, payload) != crc) {
-        if (error != nullptr) {
-          *error = "spool record crc mismatch (seq " + std::to_string(seq) +
-                   ") in " + seg.path;
-        }
-        return false;
-      }
-      if (seq > from && !fn(seq, payload)) return true;
-      off += rlog::kHeaderBytes + len;
-    }
-  }
-  return true;
+bool Spool::mark_shipped(std::uint64_t upto, std::string* error) {
+  if (upto <= shipped_) return true;
+  shipped_ = upto;
+  if (!write_manifest(error)) return false;
+  return compact(error);
 }
 
 }  // namespace netd::agent

@@ -17,20 +17,20 @@
 //                                        replaced via util::atomic_write_file
 //   *.quarantined                        segments recovery refused to trust
 //
-// Record framing is the shared util::record_log format (little-endian,
-// 20-byte header + payload, CRC32 over seq bytes + payload) — the same
-// framing the service's per-session write-ahead journal uses, so one
-// scanner implementation backs every durable log's recovery.
+// The segments are a util::SegmentLog — the same segment log, and the
+// same util::record_log framing, as the service's per-session journal.
+// The spool keeps only its policy on top of it.
 //
 // Recovery semantics, pinned by tests/agent/spool_test.cc:
 //   - a record that runs past the end of the *last* segment is a torn
 //     tail (the writer died mid-append): the segment is truncated back to
 //     the last complete record and appending resumes after it.
 //   - bad magic, a CRC mismatch, a non-increasing seq, or a short tail in
-//     a non-last segment is corruption the writer cannot explain: the
-//     whole segment is renamed to <name>.quarantined and counted loudly
+//     a non-last segment is corruption the writer cannot explain: that
+//     one segment is renamed to <name>.quarantined and counted loudly
 //     (RecoveryStats::quarantined + the agent's structured drop counters)
-//     — never silently skipped, never deleted.
+//     — never silently skipped, never deleted. The other segments stay;
+//     seq gaps are legal in a spool.
 //   - zero-record segments are removed (empty-segment compaction), as are
 //     fully-shipped segments when Options::retain_acked is false.
 //   - stale atomic_write_file temps beside MANIFEST (a writer crashed
@@ -52,26 +52,12 @@
 #include <string_view>
 #include <vector>
 
-#include "util/record_log.h"
+#include "util/segment_log.h"
 
 namespace netd::agent {
 
-/// CRC32 (IEEE 802.3, reflected, init/final 0xffffffff) — the framing
-/// checksum, hoisted into util so the service journal shares it. Kept
-/// here as a forwarder for existing callers. Chain calls by passing the
-/// previous return value as `seed`.
-[[nodiscard]] inline std::uint32_t crc32(const void* data, std::size_t len,
-                                         std::uint32_t seed = 0) {
-  return util::crc32(data, len, seed);
-}
-
 class Spool {
  public:
-  /// Hard cap on one record's payload; larger appends are refused and a
-  /// larger length field in a header is treated as corruption.
-  static constexpr std::uint32_t kMaxRecordBytes =
-      util::record_log::kMaxRecordBytes;
-
   struct Options {
     std::string dir;
     /// Active segment rotates once it reaches this size.
@@ -121,7 +107,6 @@ class Spool {
                                                    RecoveryStats* stats =
                                                        nullptr);
 
-  ~Spool();
   Spool(const Spool&) = delete;
   Spool& operator=(const Spool&) = delete;
 
@@ -139,42 +124,34 @@ class Spool {
   /// Streams every record with seq > `from`, oldest first. `fn` returns
   /// false to stop early. Returns false with `error` on read failure —
   /// segments were validated at open() and all later writes are our own,
-  /// so a parse failure here means the disk changed under us.
+  /// so a record that no longer verifies means the disk changed under us.
   [[nodiscard]] bool for_each(
       std::uint64_t from,
       const std::function<bool(std::uint64_t seq, std::string_view payload)>&
           fn,
-      std::string* error) const;
+      std::string* error) const {
+    return log_->for_each(from, fn, error);
+  }
 
-  [[nodiscard]] std::uint64_t last_seq() const { return next_seq_ - 1; }
+  [[nodiscard]] std::uint64_t last_seq() const { return log_->last_seq(); }
   [[nodiscard]] std::uint64_t shipped() const { return shipped_; }
   [[nodiscard]] std::uint64_t bytes() const;
-  [[nodiscard]] std::size_t segments() const { return segments_.size(); }
+  [[nodiscard]] std::size_t segments() const {
+    return log_->segments().size();
+  }
   [[nodiscard]] const DropStats& dropped() const { return dropped_; }
   [[nodiscard]] const Options& options() const { return opts_; }
 
  private:
-  struct Segment {
-    std::string path;
-    std::uint64_t first_seq = 0;  ///< seq the file name was minted with
-    std::uint64_t last_seq = 0;   ///< highest record inside (0 = none)
-    std::uint64_t bytes = 0;
-    std::size_t records = 0;
-  };
-
   explicit Spool(Options opts) : opts_(std::move(opts)) {}
 
   [[nodiscard]] bool recover(std::string* error, RecoveryStats* stats);
-  [[nodiscard]] bool open_active(bool create, std::string* error);
-  [[nodiscard]] bool rotate(std::string* error);
+  [[nodiscard]] bool compact(std::string* error);
   void shed_over_budget();
   [[nodiscard]] bool write_manifest(std::string* error) const;
-  [[nodiscard]] std::string segment_path(std::uint64_t first_seq) const;
 
   Options opts_;
-  std::vector<Segment> segments_;  ///< oldest first; back() is active
-  int active_fd_ = -1;
-  std::uint64_t next_seq_ = 1;
+  std::unique_ptr<util::SegmentLog> log_;
   std::uint64_t shipped_ = 0;
   DropStats dropped_;
 };

@@ -1,14 +1,11 @@
 #include "svc/journal.h"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 
 #include "obs/events.h"
@@ -18,30 +15,21 @@
 
 namespace netd::svc {
 
-namespace rlog = util::record_log;
-
 namespace {
 
 constexpr const char* kSnapshotName = "SNAPSHOT";
 constexpr const char* kEpochName = "EPOCH";
-constexpr const char* kSegPrefix = "wal-";
-constexpr const char* kSegSuffix = ".ndj";
-constexpr const char* kQuarantineSuffix = ".quarantined";
 
 bool fail(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what + ": " + std::strerror(errno);
   return false;
 }
 
-bool is_segment_name(const std::string& name) {
-  return name.size() > std::strlen(kSegPrefix) + std::strlen(kSegSuffix) &&
-         name.rfind(kSegPrefix, 0) == 0 &&
-         name.rfind(kSegSuffix) == name.size() - std::strlen(kSegSuffix);
-}
-
-bool ends_with(const std::string& name, const char* suffix) {
-  const std::size_t n = std::strlen(suffix);
-  return name.size() >= n && name.rfind(suffix) == name.size() - n;
+/// Journal segments are wal-<first LSN>.ndj. Listing ignores the
+/// rotation size, so read-only callers pass 0.
+util::SegmentLog::Options log_options(const std::string& dir,
+                                      std::uint64_t max_segment_bytes) {
+  return {dir, "wal-", ".ndj", max_segment_bytes};
 }
 
 obs::Counter& torn_tail_counter() {
@@ -83,22 +71,6 @@ obs::Counter& snapshot_counter() {
 /// fsync is sub-millisecond, and a stalled one is exactly the latency
 /// spike an operator tailing the ring wants to see attributed.
 constexpr std::int64_t kFsyncStallUs = 20'000;
-
-/// Runs fsync(2) and reports a kFsyncStall event when it took too long.
-/// Returns fsync's return value.
-int timed_fsync(int fd, const std::string& dir) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const int rc = ::fsync(fd);
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-  fsync_counter().inc();
-  if (us >= kFsyncStallUs) {
-    obs::EventRing::record(obs::EventKind::kFsyncStall, dir, 0,
-                           static_cast<std::uint64_t>(us));
-  }
-  return rc;
-}
 
 }  // namespace
 
@@ -204,34 +176,61 @@ std::vector<std::string> list_session_dirs(const std::string& state_dir) {
   return out;
 }
 
-Inspection inspect_session_dir(const std::string& dir) {
-  Inspection out;
-  if (const auto snap = util::read_file(dir + "/" + kSnapshotName, nullptr);
-      snap.has_value()) {
-    out.has_snapshot = true;
-    out.snapshot = *snap;
+bool inspect_session_dir(const std::string& dir, Inspection* out,
+                         std::string* error) {
+  *out = Inspection{};
+  const std::string snap_path = dir + "/" + kSnapshotName;
+  out->snapshot = util::read_file(snap_path, nullptr);
+  if (!util::SegmentLog::list(log_options(dir, 0), &out->log, error)) {
+    return false;
   }
-  std::vector<std::string> names;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return out;
-  while (const dirent* e = ::readdir(d)) {
-    const std::string name = e->d_name;
-    if (ends_with(name, kQuarantineSuffix)) {
-      ++out.quarantined_files;
-      continue;
+  auto damaged = [out](std::string why, const std::string& file,
+                       std::uint64_t offset) {
+    out->damage = std::move(why);
+    out->damage_file = file;
+    out->damage_offset = offset;
+    return true;
+  };
+  if (out->snapshot.has_value()) {
+    // The snapshot's "wal" field is the LSN floor: records at or below it
+    // are already folded in. An unreadable or wal-less snapshot is
+    // corruption — quarantine rather than replay against the wrong base.
+    const auto doc = Json::parse(*out->snapshot, nullptr);
+    const Json* w = doc && doc->is_object() ? doc->find("wal") : nullptr;
+    if (w == nullptr || !w->is_number() || w->as_int() < 0) {
+      return damaged("unreadable " + snap_path + " (no \"wal\" LSN floor)",
+                     snap_path, 0);
     }
-    if (is_segment_name(name)) names.push_back(name);
+    out->wal = static_cast<std::uint64_t>(w->as_int());
   }
-  ::closedir(d);
-  std::sort(names.begin(), names.end());
-  for (const auto& name : names) {
-    SegmentInfo info;
-    info.path = dir + "/" + name;
-    const auto bytes = util::read_file(info.path, nullptr);
-    if (bytes.has_value()) info.scan = rlog::scan(*bytes);
-    out.segments.push_back(std::move(info));
+  // LSNs are contiguous: the journal never sheds, and snapshot pruning
+  // deletes only fully covered segments, so a hole — inside a segment,
+  // between two, or between the floor and the first record above it —
+  // means bytes went missing underneath us.
+  std::uint64_t prev = 0;  // last LSN of the previous non-empty segment
+  for (const auto& seg : out->log.segments) {
+    const util::record_log::Scan& scan = seg.scan;
+    if (scan.verdict == util::record_log::Scan::Verdict::kCorrupt) {
+      return damaged("first bad frame at offset " +
+                         std::to_string(scan.good_bytes) + " in " + seg.path,
+                     seg.path, scan.good_bytes);
+    }
+    if (scan.records == 0) continue;  // open() removes it
+    const std::uint64_t expect =
+        prev != 0 ? prev + 1 : out->wal.value_or(0) + 1;
+    const bool gap = prev != 0 ? scan.first_seq != expect
+                               : scan.first_seq > expect;
+    if (gap || scan.last_seq - scan.first_seq + 1 != scan.records) {
+      return damaged("LSN gap: " + seg.path + " holds " +
+                         std::to_string(scan.records) + " record(s), LSN " +
+                         std::to_string(scan.first_seq) + ".." +
+                         std::to_string(scan.last_seq) + ", expected from " +
+                         std::to_string(expect),
+                     seg.path, 0);
+    }
+    prev = scan.last_seq;
   }
-  return out;
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -248,211 +247,100 @@ std::unique_ptr<SessionJournal> SessionJournal::open(Options opts,
   return j;
 }
 
-SessionJournal::~SessionJournal() {
-  if (active_fd_ >= 0) ::close(active_fd_);
-}
-
-std::string SessionJournal::segment_path(std::uint64_t first_lsn) const {
-  char name[64];
-  std::snprintf(name, sizeof(name), "%s%020llu%s", kSegPrefix,
-                static_cast<unsigned long long>(first_lsn), kSegSuffix);
-  return opts_.dir + "/" + name;
-}
-
 bool SessionJournal::quarantine_all(std::string* error) {
-  if (active_fd_ >= 0) {
-    ::close(active_fd_);
-    active_fd_ = -1;
+  log_.reset();
+  records_.clear();
+  snapshot_.reset();
+  records_since_snapshot_ = 0;
+  // List the directory afresh rather than trusting memory: recovery
+  // quarantines before any segment was opened.
+  util::SegmentLog::Listing listing;
+  if (!util::SegmentLog::list(log_options(opts_.dir, 0), &listing, error)) {
+    return false;
   }
-  // Walk the directory rather than the in-memory segment list: when the
-  // snapshot itself is the corrupt file, recovery quarantines before any
-  // segment was registered, and those files must not escape.
   std::vector<std::string> victims;
-  DIR* d = ::opendir(opts_.dir.c_str());
-  if (d == nullptr) return fail(error, "opendir " + opts_.dir);
-  while (const dirent* e = ::readdir(d)) {
-    const std::string name = e->d_name;
-    if (is_segment_name(name) || name == kSnapshotName) {
-      victims.push_back(opts_.dir + "/" + name);
-    }
-  }
-  ::closedir(d);
-  std::sort(victims.begin(), victims.end());
+  const std::string snap_path = opts_.dir + "/" + kSnapshotName;
+  if (util::file_size(snap_path).has_value()) victims.push_back(snap_path);
+  for (const auto& seg : listing.segments) victims.push_back(seg.path);
   for (const auto& path : victims) {
     // Renamed aside, never deleted: the bytes are evidence of what went
     // wrong, and the session itself continues via the amnesia protocol.
-    if (::rename(path.c_str(), (path + kQuarantineSuffix).c_str()) != 0) {
-      return fail(error, "quarantine " + path);
-    }
+    if (!util::SegmentLog::quarantine(path, error)) return false;
     quarantined_segment_counter().inc();
   }
-  segments_.clear();
-  records_.clear();
-  snapshot_.reset();
-  next_lsn_ = 1;
-  records_since_snapshot_ = 0;
-  return true;
+  // A fresh, empty journal: LSNs restart at 1.
+  log_ = util::SegmentLog::open(log_options(opts_.dir, opts_.max_segment_bytes),
+                                {}, 0, nullptr, error);
+  return log_ != nullptr;
 }
 
 bool SessionJournal::recover(std::string* error, RecoveryStats* stats) {
   if (::mkdir(opts_.dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return fail(error, "mkdir " + opts_.dir);
   }
-  const std::string snap_path = opts_.dir + "/" + kSnapshotName;
   // A snapshot writer that died between temp write and rename leaves a
   // stale temp; the committed SNAPSHOT (if any) is still intact.
-  util::remove_stale_temps(snap_path);
-
-  // The snapshot's "wal" field is the LSN floor: records at or below it
-  // are already folded in. An unreadable or wal-less snapshot is
-  // corruption — quarantine rather than replay against the wrong base.
-  std::uint64_t wal = 0;
-  if (const auto snap = util::read_file(snap_path, nullptr);
-      snap.has_value()) {
-    const auto doc = Json::parse(*snap, nullptr);
-    const Json* w = doc && doc->is_object() ? doc->find("wal") : nullptr;
-    if (w == nullptr || !w->is_number() || w->as_int() < 0) {
-      stats->quarantined = true;
-    } else {
-      wal = static_cast<std::uint64_t>(w->as_int());
-      snapshot_ = *snap;
-    }
+  util::remove_stale_temps(opts_.dir + "/" + kSnapshotName);
+  // Judge first, repair after: a journal about to be quarantined keeps
+  // every byte, its torn tail included.
+  Inspection insp;
+  if (!inspect_session_dir(opts_.dir, &insp, error)) return false;
+  if (!insp.damage.empty()) {
+    stats->quarantined = true;
+    return quarantine_all(error);
   }
-
-  std::vector<std::string> names;
-  DIR* d = ::opendir(opts_.dir.c_str());
-  if (d == nullptr) return fail(error, "opendir " + opts_.dir);
-  while (const dirent* e = ::readdir(d)) {
-    const std::string name = e->d_name;
-    if (is_segment_name(name)) names.push_back(name);
+  util::SegmentLog::Repair repair;
+  const std::uint64_t wal = insp.wal.value_or(0);
+  log_ = util::SegmentLog::open(log_options(opts_.dir, opts_.max_segment_bytes),
+                                std::move(insp.log.segments), wal, &repair,
+                                error);
+  if (log_ == nullptr) return false;
+  stats->torn_tails = repair.torn_tails;
+  stats->torn_bytes = repair.torn_bytes;
+  if (repair.torn_tails > 0) torn_tail_counter().inc(repair.torn_tails);
+  snapshot_ = std::move(insp.snapshot);
+  if (!log_->for_each(
+          wal,
+          [this](std::uint64_t lsn, std::string_view payload) {
+            records_.emplace_back(lsn, std::string(payload));
+            return true;
+          },
+          error)) {
+    return false;
   }
-  ::closedir(d);
-  // Zero-padded first-LSN names: lexicographic order = append order.
-  std::sort(names.begin(), names.end());
-
-  for (std::size_t i = 0; i < names.size() && !stats->quarantined; ++i) {
-    const bool is_last = i + 1 == names.size();
-    const std::string path = opts_.dir + "/" + names[i];
-    const auto bytes = util::read_file(path, error);
-    if (!bytes.has_value()) return false;
-    const rlog::Scan scan = rlog::scan(*bytes);
-    if (scan.verdict == rlog::Scan::Verdict::kCorrupt ||
-        (scan.verdict == rlog::Scan::Verdict::kTornTail && !is_last)) {
-      stats->quarantined = true;
-      break;
-    }
-    if (scan.verdict == rlog::Scan::Verdict::kTornTail &&
-        scan.good_bytes < bytes->size()) {
-      // SIGKILL mid-append: cut back to the last complete record.
-      if (!util::truncate_file(path, scan.good_bytes, error)) return false;
-      ++stats->torn_tails;
-      stats->torn_bytes += bytes->size() - scan.good_bytes;
-      torn_tail_counter().inc();
-    }
-    if (scan.records == 0) {
-      // A rotation that never received a record (or a tail truncated to
-      // nothing); harmless, remove it.
-      if (::unlink(path.c_str()) != 0) return fail(error, "unlink " + path);
-      continue;
-    }
-    // Segments must be contiguous: the journal never sheds, and
-    // snapshot pruning deletes only fully covered segments — a gap
-    // means a file went missing underneath us.
-    if (!segments_.empty() &&
-        scan.first_seq != segments_.back().last_lsn + 1) {
-      stats->quarantined = true;
-      break;
-    }
-    rlog::for_each(
-        std::string_view(bytes->data(), scan.good_bytes),
-        [this, wal](std::uint64_t lsn, std::string_view payload) {
-          if (lsn > wal) records_.emplace_back(lsn, std::string(payload));
-          return true;
-        });
-    segments_.push_back(
-        Segment{path, scan.first_seq, scan.last_seq, scan.good_bytes});
-    next_lsn_ = std::max(next_lsn_, scan.last_seq + 1);
-  }
-  // Replayable records must pick up exactly where the snapshot left off;
-  // a hole between wal and the first surviving record is silent loss.
-  for (std::size_t i = 0; i < records_.size() && !stats->quarantined; ++i) {
-    const std::uint64_t expect = wal + 1 + i;
-    if (records_[i].first != expect) stats->quarantined = true;
-  }
-  if (stats->quarantined) {
-    if (!quarantine_all(error)) return false;
-    return true;
-  }
-  next_lsn_ = std::max(next_lsn_, wal + 1);
   // Pending replay counts toward the next snapshot so a long recovered
   // tail is folded in soon instead of being replayed again next restart.
   records_since_snapshot_ = records_.size();
-  stats->segments = segments_.size();
+  stats->segments = log_->segments().size();
   stats->records = records_.size();
-  if (!segments_.empty()) {
-    if (!open_active(false, error)) return false;
-  }
   return true;
 }
 
-bool SessionJournal::open_active(bool create, std::string* error) {
-  if (active_fd_ >= 0) {
-    ::close(active_fd_);
-    active_fd_ = -1;
+bool SessionJournal::timed_sync(std::string* error) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const bool ok = log_->sync(error);
+  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  fsync_counter().inc();
+  if (us >= kFsyncStallUs) {
+    obs::EventRing::record(obs::EventKind::kFsyncStall, opts_.dir, 0,
+                           static_cast<std::uint64_t>(us));
   }
-  if (segments_.empty()) {
-    if (!create) return true;
-    segments_.push_back(Segment{segment_path(next_lsn_), next_lsn_, 0, 0});
-  }
-  const int flags = O_WRONLY | O_APPEND | (create ? O_CREAT : 0);
-  active_fd_ = ::open(segments_.back().path.c_str(), flags, 0644);
-  if (active_fd_ < 0) return fail(error, "open " + segments_.back().path);
-  return true;
-}
-
-bool SessionJournal::rotate(std::string* error) {
-  if (active_fd_ >= 0) {
-    // kBatch durability barrier: the retiring segment's records reach the
-    // disk before the writer moves on.
-    if (opts_.fsync == FsyncPolicy::kBatch &&
-        timed_fsync(active_fd_, opts_.dir) != 0) {
-      return fail(error, "fsync " + segments_.back().path);
-    }
-    ::close(active_fd_);
-    active_fd_ = -1;
-  }
-  segments_.push_back(Segment{segment_path(next_lsn_), next_lsn_, 0, 0});
-  return open_active(true, error);
+  return ok;
 }
 
 std::uint64_t SessionJournal::append(std::string_view payload,
                                      std::string* error) {
-  if (payload.size() > rlog::kMaxRecordBytes) {
-    if (error != nullptr) *error = "journal record exceeds kMaxRecordBytes";
+  // kBatch durability barrier: the retiring segment's records reach the
+  // disk before the writer moves on.
+  if (opts_.fsync == FsyncPolicy::kBatch && log_->rotation_due() &&
+      !timed_sync(error)) {
     return 0;
   }
-  if (segments_.empty() || active_fd_ < 0) {
-    if (!open_active(true, error)) return 0;
-  } else if (segments_.back().bytes >= opts_.max_segment_bytes) {
-    if (!rotate(error)) return 0;
-  }
-  const std::uint64_t lsn = next_lsn_;
-  const std::string frame = rlog::encode_record(lsn, payload);
-  if (!rlog::write_all_fd(active_fd_, frame.data(), frame.size())) {
-    // A partial write is the torn tail the next recovery truncates.
-    fail(error, "write " + segments_.back().path);
-    return 0;
-  }
-  if (opts_.fsync == FsyncPolicy::kAlways) {
-    if (timed_fsync(active_fd_, opts_.dir) != 0) {
-      fail(error, "fsync " + segments_.back().path);
-      return 0;
-    }
-  }
-  Segment& seg = segments_.back();
-  seg.last_lsn = lsn;
-  seg.bytes += frame.size();
-  ++next_lsn_;
+  const std::uint64_t lsn = log_->append(payload, error);
+  if (lsn == 0) return 0;
+  if (opts_.fsync == FsyncPolicy::kAlways && !timed_sync(error)) return 0;
   ++records_since_snapshot_;
   append_counter().inc();
   return lsn;
@@ -460,24 +348,16 @@ std::uint64_t SessionJournal::append(std::string_view payload,
 
 bool SessionJournal::commit_snapshot(const std::string& doc,
                                      std::string* error) {
-  if (active_fd_ >= 0) {
-    ::close(active_fd_);
-    active_fd_ = -1;
-  }
   // atomic_write_file fsyncs the document and the directory, so once it
   // returns the snapshot is the durable truth and every journal record
   // it covers is redundant. A crash between the rename and the unlinks
   // below only leaves fully covered segments behind — recovery filters
-  // their records out by LSN.
+  // their records out by LSN. On failure the journal keeps appending: a
+  // missed snapshot costs replay time, not data.
   if (!util::atomic_write_file(opts_.dir + "/" + kSnapshotName, doc, error)) {
-    // Keep journaling; a missed snapshot costs replay time, not data.
-    if (!open_active(false, error)) return false;
     return false;
   }
-  for (const auto& seg : segments_) {
-    if (::unlink(seg.path.c_str()) != 0) return fail(error, "unlink " + seg.path);
-  }
-  segments_.clear();
+  if (!log_->drop_all(error)) return false;
   snapshot_ = doc;
   records_since_snapshot_ = 0;
   snapshot_counter().inc();

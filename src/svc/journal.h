@@ -2,7 +2,7 @@
 //
 // When the server runs with a state directory, every session mutation
 // (hello, set_baseline, each applied observation) is appended to a
-// CRC-framed record log (util::record_log — the same on-disk framing as
+// segment log (util::SegmentLog — the same segments and CRC framing as
 // the agent spool) before the response leaves the process. Periodic
 // snapshots — the full session state as one JSON document, committed
 // with util::atomic_write_file — bound replay time and let the journal
@@ -25,11 +25,12 @@
 // Failure philosophy mirrors the spool: a record cut off by the end of
 // the newest segment is a torn tail (the server was SIGKILLed
 // mid-append — truncate and resume), while a CRC mismatch, an LSN that
-// goes backwards, or a gap between segments is corruption the append
-// path cannot produce. Corruption quarantines the whole session journal
-// (every segment plus the snapshot, renamed *.quarantined — never
-// deleted) and the session degrades to the protocol's amnesia path:
-// agents get unknown_session, re-hello, and re-ship from their spools.
+// goes backwards, or any LSN gap is corruption the append path cannot
+// produce. Corruption quarantines the whole session journal (every
+// segment plus the snapshot, renamed *.quarantined — never deleted, and
+// never repaired first) and the session degrades to the protocol's
+// amnesia path: agents get unknown_session, re-hello, and re-ship from
+// their spools.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +42,7 @@
 #include <utility>
 #include <vector>
 
-#include "util/record_log.h"
+#include "util/segment_log.h"
 
 namespace netd::svc {
 
@@ -88,23 +89,24 @@ void register_journal_metrics();
     const std::string& state_dir);
 
 // ---------------------------------------------------------------------------
-// Read-only inspection (the `netdiag wal` verb and the recovery path's
-// first pass share it).
-
-struct SegmentInfo {
-  std::string path;
-  util::record_log::Scan scan;
-};
+// Read-only inspection: the `netdiag wal` verb renders it, and recovery
+// acts on the very same verdict.
 
 struct Inspection {
-  bool has_snapshot = false;
-  std::string snapshot;               ///< raw SNAPSHOT bytes
-  std::vector<SegmentInfo> segments;  ///< wal-*.ndj, append order
-  std::size_t quarantined_files = 0;  ///< *.quarantined present in the dir
+  std::optional<std::string> snapshot;  ///< raw SNAPSHOT bytes
+  /// The snapshot's LSN floor; unset without a readable snapshot.
+  std::optional<std::uint64_t> wal;
+  util::SegmentLog::Listing log;        ///< wal-*.ndj, append order
+  /// Why recovery quarantines this journal; empty = it recovers.
+  std::string damage;
+  std::string damage_file;          ///< the file the damage was found in
+  std::uint64_t damage_offset = 0;  ///< its first distrusted byte
 };
 
-/// Scans one session directory without mutating it.
-[[nodiscard]] Inspection inspect_session_dir(const std::string& dir);
+/// Reads and judges one session directory without mutating it. False
+/// with `error` when a file cannot be read.
+[[nodiscard]] bool inspect_session_dir(const std::string& dir,
+                                       Inspection* out, std::string* error);
 
 // ---------------------------------------------------------------------------
 
@@ -128,15 +130,15 @@ class SessionJournal {
   };
 
   /// Opens (creating `opts.dir` if needed) and validates the journal.
-  /// A torn tail on the newest segment is truncated away; any
-  /// corruption — bad frame, LSN regression, a gap between segments —
-  /// quarantines every journal file (stats->quarantined) and returns
-  /// nullptr with `error` empty: the caller treats the session as
-  /// never-persisted. Returns nullptr with `error` set on IO failure.
+  /// Any damage inspect_session_dir() reports — bad frame, LSN
+  /// regression, an LSN gap, an unreadable snapshot — quarantines every
+  /// journal file untouched (stats->quarantined) and returns nullptr with
+  /// `error` empty: the caller treats the session as never-persisted.
+  /// Otherwise a torn tail on the newest segment is truncated away.
+  /// Returns nullptr with `error` set on IO failure.
   [[nodiscard]] static std::unique_ptr<SessionJournal> open(
       Options opts, std::string* error, RecoveryStats* stats = nullptr);
 
-  ~SessionJournal();
   SessionJournal(const SessionJournal&) = delete;
   SessionJournal& operator=(const SessionJournal&) = delete;
 
@@ -177,31 +179,20 @@ class SessionJournal {
   /// *content* (not framing) fails to parse during replay.
   [[nodiscard]] bool quarantine_all(std::string* error);
 
-  [[nodiscard]] std::uint64_t last_lsn() const { return next_lsn_ - 1; }
+  [[nodiscard]] std::uint64_t last_lsn() const { return log_->last_seq(); }
   [[nodiscard]] const std::string& dir() const { return opts_.dir; }
 
  private:
-  struct Segment {
-    std::string path;
-    std::uint64_t first_lsn = 0;
-    std::uint64_t last_lsn = 0;
-    std::uint64_t bytes = 0;
-  };
-
   explicit SessionJournal(Options opts) : opts_(std::move(opts)) {}
 
   [[nodiscard]] bool recover(std::string* error, RecoveryStats* stats);
-  [[nodiscard]] bool open_active(bool create, std::string* error);
-  [[nodiscard]] bool rotate(std::string* error);
-  [[nodiscard]] std::string segment_path(std::uint64_t first_lsn) const;
+  [[nodiscard]] bool timed_sync(std::string* error);
 
   Options opts_;
-  std::vector<Segment> segments_;
+  std::unique_ptr<util::SegmentLog> log_;
   std::vector<std::pair<std::uint64_t, std::string>> records_;
   std::optional<std::string> snapshot_;
-  std::uint64_t next_lsn_ = 1;
   std::size_t records_since_snapshot_ = 0;
-  int active_fd_ = -1;
 };
 
 }  // namespace netd::svc

@@ -551,7 +551,6 @@ Json Server::snapshot_doc(const Session& s) {
 }
 
 void Server::journal_append(Session& s, const Json& payload) {
-  if (s.journal == nullptr) return;
   // Ambient: nests under the handler's rx_* span, so a traced frame's
   // timeline shows how long the WAL write (and its fsync) took.
   obs::Span span("journal_append");
@@ -571,23 +570,14 @@ void Server::journal_append(Session& s, const Json& payload) {
   }
 }
 
-std::unique_ptr<SessionJournal> Server::open_journal_for(
-    const std::string& session_name) {
+std::unique_ptr<SessionJournal> Server::open_journal(
+    const std::string& dir_name, SessionJournal::RecoveryStats* stats,
+    std::string* error) const {
   SessionJournal::Options jopts;
-  jopts.dir =
-      opts_.state_dir + "/sessions/" + encode_session_dir(session_name);
+  jopts.dir = opts_.state_dir + "/sessions/" + dir_name;
   jopts.fsync = opts_.fsync;
-  jopts.max_segment_bytes = opts_.journal_segment_bytes;
   jopts.snapshot_every = opts_.snapshot_every;
-  std::string error;
-  SessionJournal::RecoveryStats stats;
-  auto journal = SessionJournal::open(std::move(jopts), &error, &stats);
-  if (journal == nullptr) {
-    // Either IO trouble or a quarantined predecessor; the session runs
-    // ephemeral (and a quarantine was already counted by open()).
-    append_failure_counter().inc();
-  }
-  return journal;
+  return SessionJournal::open(std::move(jopts), error, stats);
 }
 
 std::shared_ptr<Server::Session> Server::recover_one_session(
@@ -751,14 +741,9 @@ bool Server::recover_sessions(std::string* error) {
   for (const auto& dir_name : list_session_dirs(opts_.state_dir)) {
     const auto session_name = decode_session_dir(dir_name);
     if (!session_name.has_value()) continue;  // not a directory we wrote
-    SessionJournal::Options jopts;
-    jopts.dir = opts_.state_dir + "/sessions/" + dir_name;
-    jopts.fsync = opts_.fsync;
-    jopts.max_segment_bytes = opts_.journal_segment_bytes;
-    jopts.snapshot_every = opts_.snapshot_every;
     SessionJournal::RecoveryStats stats;
     std::string open_error;
-    auto journal = SessionJournal::open(std::move(jopts), &open_error, &stats);
+    auto journal = open_journal(dir_name, &stats, &open_error);
     if (journal == nullptr) {
       if (stats.quarantined) {
         // Framing-level corruption: the journal already renamed its
@@ -813,8 +798,15 @@ Response Server::handle(const HelloRequest& req) {
   if (!opts_.state_dir.empty()) {
     // The hello record is the journal's genesis: it carries the config
     // a restarted server needs to re-create the session before replay.
-    session->journal = open_journal_for(req.session);
-    journal_append(*session, hello_record(req.config));
+    session->journal =
+        open_journal(encode_session_dir(req.session), nullptr, &error);
+    if (session->journal != nullptr) {
+      journal_append(*session, hello_record(req.config));
+    } else {
+      // Either IO trouble or a quarantined predecessor; the session runs
+      // ephemeral (and a quarantine was already counted by open()).
+      append_failure_counter().inc();
+    }
   }
   sessions_.emplace(req.session, std::move(session));
   {
@@ -839,7 +831,9 @@ Response Server::handle(const SetBaselineRequest& req) {
   // New epoch: agents that re-ship a baseline re-ship every observation
   // after it, so stale watermarks must not swallow the redelivery.
   session->src_acks.clear();
-  journal_append(*session, baseline_record(req.mesh));
+  if (session->journal != nullptr) {
+    journal_append(*session, baseline_record(req.mesh));
+  }
   return SetBaselineResponse{req.mesh.paths.size()};
 }
 
@@ -889,7 +883,9 @@ Response Server::handle(const ObserveRequest& req) {
   // point redelivers into the dedup cache, a crash before it redelivers
   // into a round the recovered server never saw — either way applied
   // exactly once as observed by the client.
-  journal_append(*session, obs_record(req.mesh, cp, req.seq));
+  if (session->journal != nullptr) {
+    journal_append(*session, obs_record(req.mesh, cp, req.seq));
+  }
   return rsp;
 }
 
@@ -938,7 +934,10 @@ Response Server::handle(const ObserveBatchRequest& req) {
       // One record per applied item (not per batch): a crash mid-batch
       // persists exactly the prefix that was applied, and the agent's
       // redelivery of the whole batch dedups that prefix by watermark.
-      journal_append(*session, bobs_record(req.src, item.seq, item.mesh, cp));
+      if (session->journal != nullptr) {
+        journal_append(*session,
+                       bobs_record(req.src, item.seq, item.mesh, cp));
+      }
     }
     rsp.ack = watermark;
     rsp.round = session->round;

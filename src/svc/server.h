@@ -101,8 +101,6 @@ class Server {
     FsyncPolicy fsync = FsyncPolicy::kBatch;
     /// Journal records between snapshots; bounds replay time on restart.
     std::size_t snapshot_every = 256;
-    /// Journal segment rotation threshold, bytes.
-    std::uint64_t journal_segment_bytes = 4u << 20;
     /// When set, the stats verb merges this provider's document under a
     /// "campaign" key and mirrors its "quarantined" count into
     /// metrics.quarantined_trials — how a server fronting a checkpointed
@@ -199,10 +197,11 @@ class Server {
   /// fired one. Caller holds `s.mu`.
   static std::optional<std::string> apply_observation(
       Session& s, const probe::Mesh& mesh, const core::ControlPlaneObs* cp);
-  /// Appends one record to the session's journal (no-op when null) and
+  /// Appends one record to the session's journal, which must be set, and
   /// commits a snapshot when one is due. An append failure degrades the
   /// session to ephemeral — requests keep working, durability stops.
-  /// Caller holds `s.mu` (or owns the session exclusively).
+  /// Caller holds `s.mu` (or owns the session exclusively). Callers build
+  /// the record only for a journaled session.
   void journal_append(Session& s, const Json& payload);
   /// The session's full state as a snapshot document covering every
   /// journaled record up to the journal's last LSN.
@@ -216,9 +215,10 @@ class Server {
   /// unrecoverable (already handled).
   [[nodiscard]] std::shared_ptr<Session> recover_one_session(
       std::unique_ptr<SessionJournal> journal);
-  /// Opens the journal for a session created by a live hello.
-  [[nodiscard]] std::unique_ptr<SessionJournal> open_journal_for(
-      const std::string& session_name);
+  /// Opens the journal under <state_dir>/sessions/<dir_name>.
+  [[nodiscard]] std::unique_ptr<SessionJournal> open_journal(
+      const std::string& dir_name, SessionJournal::RecoveryStats* stats,
+      std::string* error) const;
 
   /// Shared read path of the stats and metrics verbs: queries the
   /// campaign provider (outside the metrics lock — it may read a

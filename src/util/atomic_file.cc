@@ -24,7 +24,9 @@ std::string parent_dir(const std::string& path) {
   return path.substr(0, slash);
 }
 
-bool write_all(int fd, const char* data, std::size_t len) {
+}  // namespace
+
+bool write_all_fd(int fd, const char* data, std::size_t len) {
   while (len > 0) {
     const ssize_t n = ::write(fd, data, len);
     if (n < 0) {
@@ -37,8 +39,6 @@ bool write_all(int fd, const char* data, std::size_t len) {
   return true;
 }
 
-}  // namespace
-
 bool atomic_write_file(const std::string& path, const std::string& contents,
                        std::string* error) {
   // The temp name carries the pid so two writers cannot collide; the loser
@@ -46,7 +46,7 @@ bool atomic_write_file(const std::string& path, const std::string& contents,
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return fail(error, "open " + tmp);
-  if (!write_all(fd, contents.data(), contents.size())) {
+  if (!write_all_fd(fd, contents.data(), contents.size())) {
     fail(error, "write " + tmp);
     ::close(fd);
     ::unlink(tmp.c_str());

@@ -9,11 +9,16 @@
 // that another process is rewriting.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 
 namespace netd::util {
+
+/// EINTR-safe full write; false on any other write error, which may leave
+/// a partial write behind.
+[[nodiscard]] bool write_all_fd(int fd, const char* data, std::size_t len);
 
 /// Atomically replaces `path` with `contents`. Writes `path` + a unique
 /// suffix, fsyncs, renames over `path`, then fsyncs the parent directory

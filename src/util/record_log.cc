@@ -1,9 +1,6 @@
 #include "util/record_log.h"
 
-#include <unistd.h>
-
 #include <array>
-#include <cerrno>
 
 namespace netd::util {
 
@@ -71,7 +68,7 @@ std::string encode_record(std::uint64_t seq, std::string_view payload) {
   return frame;
 }
 
-Scan scan(std::string_view bytes) {
+Scan scan(std::string_view bytes, const RecordFn& fn) {
   Scan s;
   std::size_t off = 0;
   while (off < bytes.size()) {
@@ -103,48 +100,9 @@ Scan scan(std::string_view bytes) {
     ++s.records;
     off += kHeaderBytes + len;
     s.good_bytes = off;
+    if (fn && !fn(seq, payload)) break;
   }
   return s;
-}
-
-void for_each(std::string_view bytes,
-              const std::function<bool(std::uint64_t, std::string_view)>& fn) {
-  std::size_t off = 0;
-  std::uint64_t prev_seq = 0;
-  std::size_t n = 0;
-  while (bytes.size() - off >= kHeaderBytes && off < bytes.size()) {
-    const char* h = bytes.data() + off;
-    const std::uint32_t magic = get_u32(h);
-    const std::uint32_t len = get_u32(h + 4);
-    const std::uint64_t seq = get_u64(h + 8);
-    const std::uint32_t crc = get_u32(h + 16);
-    if (magic != kMagic || len > kMaxRecordBytes ||
-        bytes.size() - off - kHeaderBytes < len) {
-      return;
-    }
-    const std::string_view payload = bytes.substr(off + kHeaderBytes, len);
-    if (record_crc(seq, payload) != crc || seq == 0 ||
-        (n > 0 && seq <= prev_seq)) {
-      return;
-    }
-    if (!fn(seq, payload)) return;
-    prev_seq = seq;
-    ++n;
-    off += kHeaderBytes + len;
-  }
-}
-
-bool write_all_fd(int fd, const char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 }  // namespace record_log

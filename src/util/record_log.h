@@ -11,14 +11,15 @@
 //               within one file)
 //   u32 crc     CRC32 (IEEE) over the 8 seq bytes + payload
 //
-// scan() classifies a file's bytes the way every consumer's recovery path
-// must: a record cut off by the end of the file is a *torn tail* (the
-// writer died mid-append — truncate back to good_bytes and resume), while
-// bad magic, an oversized length, a CRC mismatch, a zero or non-increasing
-// seq is *corruption* the append path cannot produce (quarantine the
-// file, never silently skip or delete). The distinction is what lets a
-// SIGKILL at any instant lose at most the record being written while disk
-// rot still gets surfaced loudly.
+// scan() is the one walk over these bytes. It classifies them the way
+// every consumer's recovery path must: a record cut off by the end of the
+// file is a *torn tail* (the writer died mid-append — truncate back to
+// good_bytes and resume), while bad magic, an oversized length, a CRC
+// mismatch, a zero or non-increasing seq is *corruption* the append path
+// cannot produce (quarantine the file, never silently skip or delete).
+// The distinction is what lets a SIGKILL at any instant lose at most the
+// record being written while disk rot still gets surfaced loudly.
+// util::SegmentLog builds directories of such files on top of it.
 #pragma once
 
 #include <cstddef>
@@ -73,17 +74,14 @@ struct Scan {
   std::uint64_t last_seq = 0;
 };
 
-[[nodiscard]] Scan scan(std::string_view bytes);
+/// Receives each verified record in order; returns false to stop.
+using RecordFn =
+    std::function<bool(std::uint64_t seq, std::string_view payload)>;
 
-/// Streams every valid record in `bytes` (stops at the first byte scan()
-/// would distrust). `fn` returns false to stop early.
-void for_each(std::string_view bytes,
-              const std::function<bool(std::uint64_t seq,
-                                       std::string_view payload)>& fn);
-
-/// EINTR-safe full write; false on any other write error (a partial
-/// write is exactly what a scan's torn-tail verdict repairs).
-[[nodiscard]] bool write_all_fd(int fd, const char* data, std::size_t len);
+/// Walks `bytes` record by record and classifies them. Each verified
+/// record also goes to `fn`, when set; if `fn` stops the walk, the Scan
+/// covers the records walked up to and including that one.
+[[nodiscard]] Scan scan(std::string_view bytes, const RecordFn& fn = nullptr);
 
 }  // namespace record_log
 }  // namespace netd::util

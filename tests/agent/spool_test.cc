@@ -307,15 +307,34 @@ TEST(Spool, RecordsLargerThanOneSegmentStillAppend) {
   EXPECT_EQ(rec[1].second, big);
 }
 
-TEST(SpoolCrc, MatchesKnownVectorsAndChains) {
-  // The classic IEEE CRC32 check value.
-  EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);
-  EXPECT_EQ(crc32("", 0), 0u);
-  // Chaining across a split equals the whole.
-  const std::string msg = "netdiag spool framing";
-  const std::uint32_t whole = crc32(msg.data(), msg.size());
-  const std::uint32_t part = crc32(msg.data(), 7);
-  EXPECT_EQ(crc32(msg.data() + 7, msg.size() - 7, part), whole);
+TEST(Spool, ForEachFailsWhenAnAppendedRecordNoLongerVerifies) {
+  const std::string dir = tmp_dir("netd_spool_readback");
+  std::string error;
+  auto s = Spool::open(opts(dir), &error);
+  ASSERT_NE(s, nullptr) << error;
+  ASSERT_EQ(s->append("first record", &error), 1u) << error;
+  ASSERT_EQ(s->append("second record", &error), 2u) << error;
+  // The disk changes under the open spool: one payload byte of the second
+  // record flips after its append.
+  {
+    std::fstream f(only_segment(dir),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekp(static_cast<std::streamoff>(20 + 12 + 20 + 3));
+    f.put('X');
+  }
+  std::vector<std::uint64_t> seen;
+  error.clear();
+  EXPECT_FALSE(s->for_each(
+      0,
+      [&](std::uint64_t seq, std::string_view) {
+        seen.push_back(seq);
+        return true;
+      },
+      &error));
+  EXPECT_FALSE(error.empty());
+  // Records before the damage were still handed over, nothing after it.
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1}));
 }
 
 }  // namespace

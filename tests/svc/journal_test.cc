@@ -1,15 +1,23 @@
 // Unit tests for the service's per-session write-ahead journal: append/
 // reopen round-trips, snapshot pruning, torn-tail repair, corruption
-// quarantine, and the state-dir helpers (epoch, name encoding).
+// quarantine, the state-dir helpers (epoch, name encoding), and the
+// `netdiag wal` verb agreeing with recovery (which forks the real
+// binary, NETDIAG_BIN, overridable by the same-named environment
+// variable).
 #include "svc/journal.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/atomic_file.h"
@@ -19,6 +27,31 @@ namespace netd::svc {
 namespace {
 
 namespace rlog = util::record_log;
+
+#ifndef NETDIAG_BIN
+#define NETDIAG_BIN ""
+#endif
+
+std::string netdiag_bin() {
+  if (const char* env = std::getenv("NETDIAG_BIN"); env != nullptr)
+    return env;
+  return NETDIAG_BIN;
+}
+
+/// Runs `netdiag wal --json` over `state_dir`: {exit code, stdout}.
+std::pair<int, std::string> wal_json(const std::string& state_dir) {
+  const std::string cmd = "'" + netdiag_bin() + "' wal --state-dir '" +
+                          state_dir + "' --json 2>/dev/null";
+  FILE* p = ::popen(cmd.c_str(), "r");
+  if (p == nullptr) return {-1, ""};
+  std::string out;
+  char buf[4096];
+  while (const std::size_t n = std::fread(buf, 1, sizeof(buf), p)) {
+    out.append(buf, n);
+  }
+  const int status = ::pclose(p);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
 
 class JournalTest : public ::testing::Test {
  protected:
@@ -194,15 +227,67 @@ TEST_F(JournalTest, LsnGapBetweenSegmentsQuarantines) {
   ASSERT_EQ(j->append("a", &error), 1u);
   ASSERT_EQ(j->append("b", &error), 2u);
   ASSERT_EQ(j->append("c", &error), 3u);
+  ASSERT_EQ(j->append("d", &error), 4u);
   j.reset();
   auto segs = files_matching(".ndj");
-  ASSERT_EQ(segs.size(), 3u);
-  // A middle segment vanishing is loss the journal must refuse to paper
-  // over.
-  ASSERT_EQ(::unlink((dir_ + "/sess/" + segs[1]).c_str()), 0);
+  ASSERT_EQ(segs.size(), 4u);
+  // A segment vanishing is loss the journal must refuse to paper over —
+  // here the one just before a newest segment that also ends in a torn
+  // header.
+  ASSERT_EQ(::unlink((dir_ + "/sess/" + segs[2]).c_str()), 0);
+  const std::string newest = dir_ + "/sess/" + segs[3];
+  {
+    const std::string frame = rlog::encode_record(5, "e");
+    std::ofstream os(newest, std::ios::binary | std::ios::app);
+    os.write(frame.data(), 5);
+  }
+  const auto torn_size = util::file_size(newest);
+  ASSERT_TRUE(torn_size.has_value());
   SessionJournal::RecoveryStats stats;
   j = SessionJournal::open(opts, &error, &stats);
   EXPECT_EQ(j, nullptr);
+  EXPECT_TRUE(stats.quarantined);
+  // Judged before repaired: the evidence keeps every byte, its torn tail
+  // included.
+  EXPECT_EQ(stats.torn_tails, 0u);
+  EXPECT_EQ(util::file_size(newest + ".quarantined"), torn_size);
+}
+
+// The verb renders recovery's own verdict: it passes a healthy journal
+// (exit 0), and the journal it calls corrupt (an LSN gap before a torn
+// newest segment, exit 1) is one recovery quarantines.
+TEST_F(JournalTest, WalVerbReportsTheVerdictRecoveryActsOn) {
+  ASSERT_FALSE(netdiag_bin().empty()) << "NETDIAG_BIN unset";
+  const std::string state = dir_ + "/state";
+  ASSERT_EQ(::mkdir(state.c_str(), 0755), 0);
+  ASSERT_EQ(::mkdir((state + "/sessions").c_str(), 0755), 0);
+  SessionJournal::Options opts;
+  opts.dir = state + "/sessions/s";
+  opts.max_segment_bytes = 1;  // one record per segment
+  std::string error;
+  auto j = SessionJournal::open(opts, &error);
+  ASSERT_NE(j, nullptr) << error;
+  for (const char* rec : {"a", "b", "c", "d"}) {
+    ASSERT_GT(j->append(rec, &error), 0u) << error;
+  }
+  j.reset();
+  auto [code, out] = wal_json(state);
+  EXPECT_EQ(code, 0) << out;
+  EXPECT_NE(out.find("\"corrupt\":false"), std::string::npos) << out;
+
+  ASSERT_EQ(::unlink((opts.dir + "/wal-00000000000000000003.ndj").c_str()),
+            0);
+  {
+    const std::string frame = rlog::encode_record(5, "e");
+    std::ofstream os(opts.dir + "/wal-00000000000000000004.ndj",
+                     std::ios::binary | std::ios::app);
+    os.write(frame.data(), 5);
+  }
+  std::tie(code, out) = wal_json(state);
+  EXPECT_EQ(code, 1) << out;
+  EXPECT_NE(out.find("\"corrupt\":true"), std::string::npos) << out;
+  SessionJournal::RecoveryStats stats;
+  EXPECT_EQ(SessionJournal::open(opts, &error, &stats), nullptr);
   EXPECT_TRUE(stats.quarantined);
 }
 

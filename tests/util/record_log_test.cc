@@ -14,6 +14,7 @@ TEST(RecordLogTest, Crc32MatchesKnownVector) {
   // The canonical IEEE 802.3 check value: crc32("123456789").
   const char* s = "123456789";
   EXPECT_EQ(crc32(s, 9), 0xcbf43926u);
+  EXPECT_EQ(crc32("", 0), 0u);
 }
 
 TEST(RecordLogTest, Crc32ChainsAcrossCalls) {
@@ -36,7 +37,7 @@ TEST(RecordLogTest, EncodeScanRoundTrip) {
   EXPECT_EQ(scan.good_bytes, log.size());
 
   std::vector<std::pair<std::uint64_t, std::string>> got;
-  rlog::for_each(log, [&](std::uint64_t seq, std::string_view payload) {
+  (void)rlog::scan(log, [&](std::uint64_t seq, std::string_view payload) {
     got.emplace_back(seq, std::string(payload));
     return true;
   });
@@ -68,9 +69,9 @@ TEST(RecordLogTest, FlippedPayloadByteIsCorrupt) {
   EXPECT_EQ(scan.verdict, Verdict::kCorrupt);
   EXPECT_EQ(scan.good_bytes, good);
   EXPECT_EQ(scan.records, 1u);
-  // for_each stops silently at the first distrusted byte.
+  // The walk hands over only verified records.
   std::size_t seen = 0;
-  rlog::for_each(log, [&](std::uint64_t, std::string_view) {
+  (void)rlog::scan(log, [&](std::uint64_t, std::string_view) {
     ++seen;
     return true;
   });
