@@ -1428,18 +1428,11 @@ int cmd_wal(util::Flags& flags) {
     // The snapshot's ack watermarks, then the journal's records above its
     // floor on top — the same fold recovery performs.
     std::map<std::string, std::uint64_t> acks;
-    if (insp.snapshot.has_value()) {
-      const auto doc = svc::Json::parse(*insp.snapshot, nullptr);
-      if (const svc::Json* a = doc && doc->is_object() ? doc->find("src_acks")
-                                                       : nullptr;
-          a != nullptr && a->is_object()) {
-        for (const auto& [src, seq] : a->members()) {
-          if (seq.is_number() && seq.as_int() >= 0) {
-            acks[src] = static_cast<std::uint64_t>(seq.as_int());
-          }
-        }
-      }
-    }
+    auto fold = [&acks](std::string_view text) {
+      const auto doc = svc::Json::parse(text, nullptr);
+      if (doc && doc->is_object()) (void)svc::fold_watermarks(*doc, &acks);
+    };
+    if (insp.snapshot.has_value()) fold(*insp.snapshot);
     std::size_t records = 0;
     std::uint64_t first_lsn = 0, last_lsn = 0;
     for (const auto& seg : insp.log.segments) {
@@ -1454,21 +1447,7 @@ int cmd_wal(util::Flags& flags) {
     (void)util::SegmentLog::read(
         insp.log.segments, insp.wal.value_or(0),
         [&](std::uint64_t, std::string_view payload) {
-          const auto rec = svc::Json::parse(payload, nullptr);
-          if (!rec || !rec->is_object()) return true;
-          const svc::Json* t = rec->find("t");
-          if (t == nullptr || !t->is_string()) return true;
-          if (t->as_string() == "baseline") {
-            acks.clear();
-          } else if (t->as_string() == "bobs") {
-            const svc::Json* src = rec->find("src");
-            const svc::Json* seq = rec->find("seq");
-            if (src != nullptr && src->is_string() && seq != nullptr &&
-                seq->is_number() && seq->as_int() >= 0) {
-              acks[src->as_string()] =
-                  static_cast<std::uint64_t>(seq->as_int());
-            }
-          }
+          fold(payload);
           return true;
         },
         nullptr);
@@ -1517,7 +1496,7 @@ int cmd_wal(util::Flags& flags) {
     if (!acks.empty()) {
       std::cout << "  watermarks:";
       for (const auto& [src, seq] : acks) {
-        std::cout << " " << src << "=" << seq;
+        std::cout << " " << (src.empty() ? "(observe)" : src) << "=" << seq;
       }
       std::cout << "\n";
     }

@@ -50,10 +50,9 @@ bool parse_u64(const svc::Json* j, std::uint64_t* out, std::string* error,
 
 bool parse_size(const svc::Json* j, std::size_t* out, std::string* error,
                 const char* what) {
-  if (j == nullptr || !j->is_number() || j->as_int() < 0) {
-    return fail(error, std::string("missing ") + what);
-  }
-  *out = static_cast<std::size_t>(j->as_int());
+  const auto v = j != nullptr ? j->as_uint() : std::nullopt;
+  if (!v) return fail(error, std::string("missing ") + what);
+  *out = *v;
   return true;
 }
 

@@ -4,9 +4,11 @@
 // With Options the client is resilient: connect and per-request deadlines
 // bound every blocking step, transport failures trigger automatic
 // reconnect with exponential backoff and deterministic (seeded) jitter,
-// and retries are safe — observe requests carry a per-session sequence
-// number the server deduplicates, so a round whose response was lost on
-// the wire is re-answered from cache instead of being fed twice. The
+// and retries are safe — observe requests carry a sequence number the
+// server deduplicates against the session's observe watermark, so a
+// round whose response was lost on the wire is answered again from
+// session state instead of being fed twice. Seqs count from 1 per client,
+// so give a session one retrying client between baselines. The
 // structured transient errors are honored too: `bad_frame` is resent on
 // the intact stream and `overloaded` waits the server's retry_after_ms.
 // The zero-argument Options (no retries, no deadlines) behaves exactly

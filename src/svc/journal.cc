@@ -144,8 +144,7 @@ std::uint64_t read_epoch(const std::string& state_dir) {
   const auto j = Json::parse(*doc, nullptr);
   if (!j || !j->is_object()) return 0;
   const Json* e = j->find("epoch");
-  if (e == nullptr || !e->is_number() || e->as_int() <= 0) return 0;
-  return static_cast<std::uint64_t>(e->as_int());
+  return e != nullptr ? e->as_uint().value_or(0) : 0;
 }
 
 std::uint64_t bump_epoch(const std::string& state_dir, std::string* error) {
@@ -197,11 +196,11 @@ bool inspect_session_dir(const std::string& dir, Inspection* out,
     // corruption — quarantine rather than replay against the wrong base.
     const auto doc = Json::parse(*out->snapshot, nullptr);
     const Json* w = doc && doc->is_object() ? doc->find("wal") : nullptr;
-    if (w == nullptr || !w->is_number() || w->as_int() < 0) {
+    out->wal = w != nullptr ? w->as_uint() : std::nullopt;
+    if (!out->wal) {
       return damaged("unreadable " + snap_path + " (no \"wal\" LSN floor)",
                      snap_path, 0);
     }
-    out->wal = static_cast<std::uint64_t>(w->as_int());
   }
   // LSNs are contiguous: the journal never sheds, and snapshot pruning
   // deletes only fully covered segments, so a hole — inside a segment,
@@ -231,6 +230,37 @@ bool inspect_session_dir(const std::string& dir, Inspection* out,
     prev = scan.last_seq;
   }
   return true;
+}
+
+bool fold_watermarks(const Json& doc,
+                     std::map<std::string, std::uint64_t>* acks) {
+  auto set = [acks](const std::string& src, const Json* seq) {
+    const auto v = seq != nullptr ? seq->as_uint() : std::nullopt;
+    if (v) (*acks)[src] = *v;
+    return v.has_value();
+  };
+  const Json* t = doc.find("t");
+  if (t == nullptr) {
+    const Json* snap = doc.find("src_acks");
+    if (snap == nullptr || !snap->is_object()) return false;
+    for (const auto& [src, seq] : snap->members()) {
+      if (!set(src, &seq)) return false;
+    }
+    // Before observe shared the watermarks, its retry cache held the seq
+    // of the last applied observe.
+    const Json* last = doc.find("last_seq");
+    return last == nullptr || set("", last);
+  }
+  if (!t->is_string()) return false;
+  if (t->as_string() == "baseline") acks->clear();
+  if (t->as_string() == "obs") {
+    const Json* seq = doc.find("seq");
+    return seq == nullptr || set("", seq);
+  }
+  if (t->as_string() != "bobs") return true;
+  const Json* src = doc.find("src");
+  return src != nullptr && src->is_string() &&
+         set(src->as_string(), doc.find("seq"));
 }
 
 // ---------------------------------------------------------------------------

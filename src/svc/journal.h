@@ -35,6 +35,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -42,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "svc/json.h"
 #include "util/segment_log.h"
 
 namespace netd::svc {
@@ -107,6 +109,16 @@ struct Inspection {
 /// with `error` when a file cannot be read.
 [[nodiscard]] bool inspect_session_dir(const std::string& dir,
                                        Inspection* out, std::string* error);
+
+/// Folds one SNAPSHOT document (it has no "t") or journal record into
+/// per-source ack watermarks — the one rule recovery and `netdiag wal`
+/// share. A snapshot seeds them from `src_acks`, and from `last_seq` as
+/// source "" when an older server wrote it; a `baseline` record clears
+/// them; an `obs` record with a seq (source "") or a `bobs` record sets
+/// its source's watermark to that seq. False when a field it reads is
+/// malformed.
+[[nodiscard]] bool fold_watermarks(const Json& doc,
+                                   std::map<std::string, std::uint64_t>* acks);
 
 // ---------------------------------------------------------------------------
 

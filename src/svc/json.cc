@@ -1,5 +1,6 @@
 #include "svc/json.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <sstream>
 
@@ -81,6 +82,17 @@ double Json::as_double() const { return std::strtod(str_.c_str(), nullptr); }
 
 long long Json::as_int() const {
   return std::strtoll(str_.c_str(), nullptr, 10);
+}
+
+std::optional<std::uint64_t> Json::as_uint(std::uint64_t max) const {
+  if (type_ != Type::kNumber) return std::nullopt;
+  // from_chars takes no sign for an unsigned type and stops at a '.',
+  // 'e' or 'E', so anything but plain digits leaves bytes unconsumed.
+  std::uint64_t v = 0;
+  const char* end = str_.data() + str_.size();
+  const auto [ptr, ec] = std::from_chars(str_.data(), end, v);
+  if (ec != std::errc() || ptr != end || v > max) return std::nullopt;
+  return v;
 }
 
 Json& Json::push_back(Json v) {

@@ -75,6 +75,12 @@ class Json {
   [[nodiscard]] bool as_bool() const { return bool_; }
   [[nodiscard]] double as_double() const;
   [[nodiscard]] long long as_int() const;
+  /// The number as an unsigned integer: std::nullopt unless this is a
+  /// number whose lexeme is plain digits (no sign, fraction or exponent)
+  /// with a value of at most `max`. The accessor for every count, id and
+  /// sequence number read off the wire or the disk.
+  [[nodiscard]] std::optional<std::uint64_t> as_uint(
+      std::uint64_t max = UINT64_MAX) const;
   [[nodiscard]] const std::string& as_string() const { return str_; }
 
   // Arrays.

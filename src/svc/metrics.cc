@@ -66,8 +66,8 @@ std::vector<obs::Sample> ServiceMetrics::to_samples() const {
           "Connections cut by the idle deadline", idle_timeouts);
   counter("netd_svc_shed_requests_total", "Requests refused as overloaded",
           shed_requests);
-  counter("netd_svc_dedup_hits_total", "Retried observes answered from cache",
-          dedup_hits);
+  counter("netd_svc_dedup_hits_total",
+          "Observations skipped as already applied", dedup_hits);
   counter("netd_svc_quarantined_trials_total",
           "Watchdog-quarantined trials in the fronted campaign",
           quarantined_trials);

@@ -40,7 +40,9 @@ struct ServiceMetrics {
   std::uint64_t disconnects_mid_request = 0;
   std::uint64_t idle_timeouts = 0;      ///< connections cut by the idle deadline
   std::uint64_t shed_requests = 0;      ///< refused with `overloaded`
-  std::uint64_t dedup_hits = 0;         ///< retried observes answered from cache
+  /// Sequenced observations (observe or batch item) skipped because their
+  /// seq was at or below their source's watermark: already applied.
+  std::uint64_t dedup_hits = 0;
   /// Watchdog-quarantined trials in the campaign this server fronts
   /// (mirrored from the campaign checkpoint; 0 when none is attached).
   std::uint64_t quarantined_trials = 0;

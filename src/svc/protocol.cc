@@ -46,17 +46,21 @@ const Json* require(const Json& obj, std::string_view key, Json::Type type,
   return v;
 }
 
-std::optional<std::size_t> require_uint(const Json& obj, std::string_view key,
-                                        std::string* error) {
+std::optional<std::uint64_t> require_uint(const Json& obj,
+                                          std::string_view key,
+                                          std::string* error) {
   const Json* v = require(obj, key, Json::Type::kNumber, error);
-  if (v == nullptr) return std::nullopt;
-  const long long n = v->as_int();
-  if (n < 0) {
-    set_error(error, "field '" + std::string(key) + "' must be >= 0");
-    return std::nullopt;
+  const auto n = v != nullptr ? v->as_uint() : std::nullopt;
+  if (v != nullptr && !n) {
+    set_error(error,
+              "field '" + std::string(key) + "' must be an unsigned integer");
   }
-  return static_cast<std::size_t>(n);
+  return n;
 }
+
+/// Largest link or router id a mesh may carry: the ids are 32-bit and
+/// the all-ones value is their "no id" sentinel.
+constexpr std::uint64_t kMaxMeshId = topo::LinkId::kInvalid - 1;
 
 }  // namespace
 
@@ -151,6 +155,11 @@ std::optional<probe::Mesh> mesh_from_json(const Json& j, std::string* error) {
     p.src = *src;
     p.dst = *dst;
     p.ok = ok->as_bool();
+    if (p.ok && hops->size() == 0) {  // a diagnosis reads its last hop
+      set_error(error,
+                "mesh path " + std::to_string(i) + " is ok but has no hops");
+      return std::nullopt;
+    }
     p.hops.reserve(hops->size());
     for (std::size_t k = 0; k < hops->size(); ++k) {
       const Json& jh = (*hops)[k];
@@ -168,18 +177,22 @@ std::optional<probe::Mesh> mesh_from_json(const Json& j, std::string* error) {
       }
       h.kind = *kind;
       h.asn = static_cast<int>(jh[2].as_int());
-      const long long router = jh[3].as_int();
-      if (router >= 0) h.router = topo::RouterId{static_cast<std::uint32_t>(router)};
+      if (const auto router = jh[3].as_uint(kMaxMeshId)) {
+        h.router = topo::RouterId{static_cast<std::uint32_t>(*router)};
+      } else if (jh[3].dump() != "-1") {  // mesh_to_json's "no router"
+        set_error(error, "mesh router ids must be -1 or 32-bit ids");
+        return std::nullopt;
+      }
       p.hops.push_back(std::move(h));
     }
     p.links.reserve(links->size());
     for (std::size_t k = 0; k < links->size(); ++k) {
-      if (!(*links)[k].is_number() || (*links)[k].as_int() < 0) {
-        set_error(error, "mesh link ids must be non-negative numbers");
+      const auto link = (*links)[k].as_uint(kMaxMeshId);
+      if (!link) {
+        set_error(error, "mesh link ids must be 32-bit unsigned integers");
         return std::nullopt;
       }
-      p.links.push_back(
-          topo::LinkId{static_cast<std::uint32_t>((*links)[k].as_int())});
+      p.links.push_back(topo::LinkId{static_cast<std::uint32_t>(*link)});
     }
     mesh.paths.push_back(std::move(p));
   }
@@ -384,6 +397,29 @@ std::optional<Json> parse_frame(std::string_view frame, std::string* error) {
   return j;
 }
 
+/// What an observe frame and a batch item share: the mesh, and optional
+/// cp, seq and trace. A seq must be >= 1 — watermarks start at 0, so a seq
+/// of 0 would always read as applied.
+bool observation_from_json(const Json& j, probe::Mesh* mesh,
+                           std::optional<core::ControlPlaneObs>* cp,
+                           std::optional<std::uint64_t>* seq,
+                           std::optional<obs::TraceContext>* trace,
+                           std::string* error) {
+  const Json* m = require(j, "mesh", Json::Type::kObject, error);
+  auto decoded = m != nullptr ? mesh_from_json(*m, error) : std::nullopt;
+  if (!decoded) return false;
+  *mesh = std::move(*decoded);
+  if (const Json* c = j.find("cp"); c != nullptr) {
+    *cp = cp_from_json(*c, error);
+    if (!*cp) return false;
+  }
+  if (j.find("seq") != nullptr) {
+    *seq = require_uint(j, "seq", error);
+    if (seq->value_or(0) == 0) return set_error(error, "seq must be >= 1");
+  }
+  return trace_from_json(j, trace, error);
+}
+
 std::optional<std::string> get_session(const Json& j, std::string* error) {
   const Json* s = require(j, "session", Json::Type::kString, error);
   if (s == nullptr) return std::nullopt;
@@ -426,22 +462,13 @@ std::optional<Request> parse_request(std::string_view frame,
   }
   if (name == "observe") {
     const auto session = get_session(*j, error);
-    const Json* mesh = require(*j, "mesh", Json::Type::kObject, error);
-    if (!session || mesh == nullptr) return std::nullopt;
-    auto m = mesh_from_json(*mesh, error);
-    if (!m) return std::nullopt;
-    ObserveRequest req{*session, std::move(*m), std::nullopt, std::nullopt};
-    if (const Json* cp = j->find("cp"); cp != nullptr) {
-      auto obs = cp_from_json(*cp, error);
-      if (!obs) return std::nullopt;
-      req.cp = std::move(*obs);
+    if (!session) return std::nullopt;
+    ObserveRequest req;
+    req.session = *session;
+    if (!observation_from_json(*j, &req.mesh, &req.cp, &req.seq, &req.trace,
+                               error)) {
+      return std::nullopt;
     }
-    if (j->find("seq") != nullptr) {
-      const auto seq = require_uint(*j, "seq", error);
-      if (!seq) return std::nullopt;
-      req.seq = static_cast<std::uint64_t>(*seq);
-    }
-    if (!trace_from_json(*j, &req.trace, error)) return std::nullopt;
     return Request{std::move(req)};
   }
   if (name == "observe_batch") {
@@ -466,26 +493,19 @@ std::optional<Request> parse_request(std::string_view frame,
         return std::nullopt;
       }
       ObserveItem item;
-      const auto seq = require_uint(ji, "seq", error);
-      const Json* mesh = require(ji, "mesh", Json::Type::kObject, error);
-      if (!seq || mesh == nullptr) return std::nullopt;
-      item.seq = static_cast<std::uint64_t>(*seq);
-      // Strictly increasing seqs are the dedup contract; enforcing it at
-      // the protocol boundary keeps the server's watermark logic trivial.
-      if (item.seq == 0 || item.seq <= prev_seq) {
+      std::optional<std::uint64_t> seq;
+      if (!observation_from_json(ji, &item.mesh, &item.cp, &seq, &item.trace,
+                                 error)) {
+        return std::nullopt;
+      }
+      // Present, strictly increasing seqs are the dedup contract; enforcing
+      // it at the protocol boundary keeps the server's watermark logic
+      // trivial.
+      if (!seq || *seq <= prev_seq) {
         set_error(error, "batch item seqs must be strictly increasing");
         return std::nullopt;
       }
-      prev_seq = item.seq;
-      auto m = mesh_from_json(*mesh, error);
-      if (!m) return std::nullopt;
-      item.mesh = std::move(*m);
-      if (const Json* cp = ji.find("cp"); cp != nullptr) {
-        auto obs = cp_from_json(*cp, error);
-        if (!obs) return std::nullopt;
-        item.cp = std::move(*obs);
-      }
-      if (!trace_from_json(ji, &item.trace, error)) return std::nullopt;
+      item.seq = prev_seq = *seq;
       req.items.push_back(std::move(item));
     }
     if (!trace_from_json(*j, &req.trace, error)) return std::nullopt;
@@ -505,8 +525,8 @@ std::optional<Request> parse_request(std::string_view frame,
     const auto cap = require_uint(*j, "cap", error);
     if (!cursor || !cap) return std::nullopt;
     EventsRequest req;
-    req.cursor = static_cast<std::uint64_t>(*cursor);
-    req.cap = static_cast<std::uint64_t>(*cap);
+    req.cursor = *cursor;
+    req.cap = *cap;
     return Request{req};
   }
   if (name == "shutdown") return Request{ShutdownRequest{}};
@@ -622,7 +642,7 @@ std::optional<Response> parse_response(std::string_view frame,
     if (j->find("retry_after_ms") != nullptr) {
       const auto after = require_uint(*j, "retry_after_ms", error);
       if (!after) return std::nullopt;
-      err.retry_after_ms = static_cast<std::uint64_t>(*after);
+      err.retry_after_ms = *after;
     }
     return Response{std::move(err)};
   }
@@ -641,7 +661,7 @@ std::optional<Response> parse_response(std::string_view frame,
     if (j->find("epoch") != nullptr) {
       const auto epoch = require_uint(*j, "epoch", error);
       if (!epoch) return std::nullopt;
-      rsp.epoch = static_cast<std::uint64_t>(*epoch);
+      rsp.epoch = *epoch;
     }
     return Response{std::move(rsp)};
   }
@@ -674,7 +694,7 @@ std::optional<Response> parse_response(std::string_view frame,
       return std::nullopt;
     }
     ObserveBatchResponse rsp;
-    rsp.ack = static_cast<std::uint64_t>(*ack);
+    rsp.ack = *ack;
     rsp.applied = *applied;
     rsp.deduped = *deduped;
     rsp.round = *round;
@@ -716,7 +736,7 @@ std::optional<Response> parse_response(std::string_view frame,
     const Json* evs = require(*j, "events", Json::Type::kArray, error);
     if (!next || evs == nullptr) return std::nullopt;
     EventsResponse rsp;
-    rsp.next_cursor = static_cast<std::uint64_t>(*next);
+    rsp.next_cursor = *next;
     rsp.events.reserve(evs->size());
     for (std::size_t i = 0; i < evs->size(); ++i) {
       const Json& je = (*evs)[i];
@@ -732,8 +752,8 @@ std::optional<Response> parse_response(std::string_view frame,
       if (!seq || !t_ms || kind == nullptr || detail == nullptr) {
         return std::nullopt;
       }
-      ev.seq = static_cast<std::uint64_t>(*seq);
-      ev.t_ms = static_cast<std::uint64_t>(*t_ms);
+      ev.seq = *seq;
+      ev.t_ms = *t_ms;
       if (!obs::parse_event_kind(kind->as_string(), &ev.kind)) {
         set_error(error, "unknown event kind '" + kind->as_string() + "'");
         return std::nullopt;
@@ -749,7 +769,7 @@ std::optional<Response> parse_response(std::string_view frame,
       if (je.find("dur_us") != nullptr) {
         const auto dur = require_uint(je, "dur_us", error);
         if (!dur) return std::nullopt;
-        ev.dur_us = static_cast<std::uint64_t>(*dur);
+        ev.dur_us = *dur;
       }
       rsp.events.push_back(std::move(ev));
     }

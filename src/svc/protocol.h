@@ -111,10 +111,12 @@ struct ObserveRequest {
   std::string session;
   probe::Mesh mesh;
   std::optional<core::ControlPlaneObs> cp;
-  /// Per-session sequence number for exactly-once observation rounds: a
-  /// retried observe carrying the seq of the round the server already
-  /// applied is answered from the session's cache instead of feeding the
-  /// round twice. Absent = no dedup (pre-retry clients).
+  /// Sequence number (>= 1) for exactly-once rounds. An observe is a
+  /// one-item batch from the reserved source "": a seq at or below that
+  /// source's watermark was already applied, and is answered from session
+  /// state instead of feeding the round twice. One seq-stamping client
+  /// per session between baselines; a fleet uses observe_batch with its
+  /// own `src`. Absent = no dedup (pre-retry clients).
   std::optional<std::uint64_t> seq;
   std::optional<obs::TraceContext> trace;
 

@@ -222,8 +222,8 @@ ServiceMetrics Server::metrics_snapshot(std::optional<Json>* campaign) const {
   }
   if (campaign->has_value()) {
     const Json* q = (*campaign)->find("quarantined");
-    if (q != nullptr && q->is_number() && q->as_int() >= 0) {
-      snapshot.quarantined_trials = static_cast<std::uint64_t>(q->as_int());
+    if (const auto n = q != nullptr ? q->as_uint() : std::nullopt) {
+      snapshot.quarantined_trials = *n;
     }
   }
   return snapshot;
@@ -491,20 +491,81 @@ const Json* get_obj(const Json& j, std::string_view key) {
 std::optional<std::uint64_t> get_u64_field(const Json& j,
                                            std::string_view key) {
   const Json* v = j.find(key);
-  if (v == nullptr || !v->is_number() || v->as_int() < 0) return std::nullopt;
-  return static_cast<std::uint64_t>(v->as_int());
+  return v != nullptr ? v->as_uint() : std::nullopt;
 }
+
+/// The source the observe verb's seqs count under. observe_batch rejects
+/// an empty `src`, so no agent can share its watermark.
+const std::string kObserveSrc;
 
 }  // namespace
 
-std::optional<std::string> Server::apply_observation(
-    Session& s, const probe::Mesh& mesh, const core::ControlPlaneObs* cp) {
+Server::Ingested Server::ingest(Session& s, const std::string& src,
+                                std::optional<std::uint64_t> seq,
+                                const probe::Mesh& mesh,
+                                const core::ControlPlaneObs* cp, bool live) {
+  Ingested out;
+  if (live && seq.has_value()) {
+    // Checked before admission: a redelivered round was admitted once,
+    // whatever the retry carries.
+    const auto it = s.src_acks.find(src);
+    if (it != s.src_acks.end() && *seq <= it->second) {
+      out.deduped = true;
+      return out;
+    }
+  }
+  if (!s.ts.has_baseline()) {
+    out.rejected = ErrorResponse{"session has no baseline", kErrNoBaseline};
+    return out;
+  }
+  if (mesh.paths.size() != s.ts.baseline().paths.size()) {
+    out.rejected = ErrorResponse{
+        "mesh covers " + std::to_string(mesh.paths.size()) +
+        " pairs but the baseline covers " +
+        std::to_string(s.ts.baseline().paths.size())};
+    return out;
+  }
   ++s.round;
-  const auto out = s.ts.observe(mesh, cp);
-  if (!out.has_value()) return std::nullopt;
-  s.diagnosis = core::to_json(out->graph, out->result);
-  s.diagnosis_round = s.round;
-  return s.diagnosis;
+  if (const auto diag = s.ts.observe(mesh, cp)) {
+    s.diagnosis = core::to_json(diag->graph, diag->result);
+    s.diagnosis_round = s.round;
+    out.fired = true;
+  }
+  if (!live) return out;
+  if (seq.has_value()) s.src_acks[src] = *seq;
+  // Journaled before the response leaves the process: a crash after this
+  // point redelivers into the watermark, a crash before it into a round
+  // the recovered server never saw — either way applied exactly once as
+  // observed by the client. One record per applied batch item (not per
+  // batch), so a crash mid-batch keeps exactly the applied prefix.
+  if (s.journal != nullptr) {
+    journal_append(s, src == kObserveSrc
+                          ? obs_record(mesh, cp, seq)
+                          : bobs_record(src, seq.value_or(0), mesh, cp));
+  }
+  return out;
+}
+
+void Server::set_baseline(Session& s, probe::Mesh mesh) {
+  s.ts.set_baseline(std::move(mesh));
+  s.round = 0;
+  s.diagnosis_round = 0;
+  s.diagnosis.clear();
+  // New epoch: agents that re-ship a baseline re-ship every observation
+  // after it, so stale watermarks must not swallow the redelivery.
+  s.src_acks.clear();
+}
+
+void Server::count_dedups(const std::string& session, const std::string& src,
+                          std::uint64_t trace_id, std::size_t n) {
+  {
+    std::lock_guard<std::mutex> lock(metrics_mu_);
+    metrics_.dedup_hits += n;
+  }
+  // The deduplicated count rides in the event's dur_us.
+  obs::EventRing::record(obs::EventKind::kDedup,
+                         src == kObserveSrc ? session : session + "/" + src,
+                         trace_id, n);
 }
 
 Json Server::snapshot_doc(const Session& s) {
@@ -516,16 +577,6 @@ Json Server::snapshot_doc(const Session& s) {
   j.set("round", Json::uinteger(s.round));
   j.set("diagnosis_round", Json::uinteger(s.diagnosis_round));
   if (!s.diagnosis.empty()) j.set("diagnosis", Json::raw(s.diagnosis));
-  if (s.last_seq.has_value()) {
-    j.set("last_seq", Json::uinteger(*s.last_seq));
-    Json rsp = Json::object();
-    rsp.set("round", Json::uinteger(s.last_seq_response.round));
-    rsp.set("alarmed", Json::boolean(s.last_seq_response.alarmed));
-    if (s.last_seq_response.diagnosis.has_value()) {
-      rsp.set("diagnosis", Json::raw(*s.last_seq_response.diagnosis));
-    }
-    j.set("last_rsp", std::move(rsp));
-  }
   Json acks = Json::object();
   for (const auto& [src, seq] : s.src_acks) {
     acks.set(src, Json::uinteger(seq));
@@ -593,50 +644,33 @@ std::shared_ptr<Server::Session> Server::recover_one_session(
     session_quarantined_counter().inc();
     return nullptr;
   };
+  std::string error;
+  // A SNAPSHOT or hello record's config; nullptr when it does not resolve.
+  auto session_from = [&error](const Json& doc) -> std::shared_ptr<Session> {
+    const Json* cfg_json = get_obj(doc, "config");
+    const auto cfg = cfg_json != nullptr
+                         ? session_config_from_json(*cfg_json, &error)
+                         : std::nullopt;
+    const auto resolved = cfg ? cfg->resolve(&error) : std::nullopt;
+    return resolved ? std::make_shared<Session>(*cfg, *resolved) : nullptr;
+  };
 
   std::shared_ptr<Session> s;
-  std::string error;
   if (journal->snapshot().has_value()) {
     const auto doc = Json::parse(*journal->snapshot(), &error);
     if (!doc || !doc->is_object()) return corrupt();
-    const Json* cfg_json = get_obj(*doc, "config");
-    if (cfg_json == nullptr) return corrupt();
-    const auto cfg = session_config_from_json(*cfg_json, &error);
-    if (!cfg) return corrupt();
-    const auto resolved = cfg->resolve(&error);
-    if (!resolved) return corrupt();
-    s = std::make_shared<Session>(*cfg, *resolved);
+    s = session_from(*doc);
     const auto round = get_u64_field(*doc, "round");
     const auto diagnosis_round = get_u64_field(*doc, "diagnosis_round");
-    if (!round || !diagnosis_round) return corrupt();
-    s->round = static_cast<std::size_t>(*round);
-    s->diagnosis_round = static_cast<std::size_t>(*diagnosis_round);
+    if (s == nullptr || !round || !diagnosis_round ||
+        !fold_watermarks(*doc, &s->src_acks)) {
+      return corrupt();
+    }
+    s->round = *round;
+    s->diagnosis_round = *diagnosis_round;
     if (const Json* d = doc->find("diagnosis"); d != nullptr) {
       if (!d->is_object()) return corrupt();
       s->diagnosis = d->dump();
-    }
-    if (const Json* ls = doc->find("last_seq"); ls != nullptr) {
-      const auto seq = get_u64_field(*doc, "last_seq");
-      const Json* rsp = get_obj(*doc, "last_rsp");
-      if (!seq || rsp == nullptr) return corrupt();
-      const auto rsp_round = get_u64_field(*rsp, "round");
-      const Json* alarmed = rsp->find("alarmed");
-      if (!rsp_round || alarmed == nullptr || !alarmed->is_bool()) {
-        return corrupt();
-      }
-      s->last_seq = *seq;
-      s->last_seq_response.round = static_cast<std::size_t>(*rsp_round);
-      s->last_seq_response.alarmed = alarmed->as_bool();
-      if (const Json* d = rsp->find("diagnosis"); d != nullptr) {
-        if (!d->is_object()) return corrupt();
-        s->last_seq_response.diagnosis = d->dump();
-      }
-    }
-    const Json* acks = get_obj(*doc, "src_acks");
-    if (acks == nullptr) return corrupt();
-    for (const auto& [src, seq] : acks->members()) {
-      if (!seq.is_number() || seq.as_int() < 0) return corrupt();
-      s->src_acks[src] = static_cast<std::uint64_t>(seq.as_int());
     }
     if (const Json* baseline = doc->find("baseline"); baseline != nullptr) {
       auto mesh = mesh_from_json(*baseline, &error);
@@ -644,18 +678,20 @@ std::shared_ptr<Server::Session> Server::recover_one_session(
       if (!mesh || det == nullptr) return corrupt();
       const Json* fails = det->find("fails");
       const Json* alarmed = det->find("alarmed");
+      // The detector holds nothing until the first round after a baseline
+      // and one entry per pair ever after; any other size would let the
+      // next round index past its arrays.
       if (fails == nullptr || !fails->is_array() || alarmed == nullptr ||
-          !alarmed->is_array() || fails->size() != alarmed->size()) {
+          !alarmed->is_array() || fails->size() != alarmed->size() ||
+          (fails->size() != 0 && fails->size() != mesh->paths.size())) {
         return corrupt();
       }
       std::vector<std::size_t> f(fails->size());
       std::vector<bool> a(alarmed->size());
       for (std::size_t i = 0; i < fails->size(); ++i) {
-        if (!(*fails)[i].is_number() || (*fails)[i].as_int() < 0 ||
-            !(*alarmed)[i].is_bool()) {
-          return corrupt();
-        }
-        f[i] = static_cast<std::size_t>((*fails)[i].as_int());
+        const auto streak = (*fails)[i].as_uint();
+        if (!streak || !(*alarmed)[i].is_bool()) return corrupt();
+        f[i] = *streak;
         a[i] = (*alarmed)[i].as_bool();
       }
       s->ts.restore(std::move(*mesh), std::move(f), std::move(a));
@@ -673,53 +709,32 @@ std::shared_ptr<Server::Session> Server::recover_one_session(
       // Only legal as the very first record of a journal with no
       // snapshot — it is what created the session.
       if (s != nullptr) return corrupt();
-      const Json* cfg_json = get_obj(*rec, "config");
-      if (cfg_json == nullptr) return corrupt();
-      const auto cfg = session_config_from_json(*cfg_json, &error);
-      if (!cfg) return corrupt();
-      const auto resolved = cfg->resolve(&error);
-      if (!resolved) return corrupt();
-      s = std::make_shared<Session>(*cfg, *resolved);
+      s = session_from(*rec);
+      if (s == nullptr) return corrupt();
       replayed.inc();
       continue;
     }
-    if (s == nullptr) return corrupt();
+    // Every other record carries a mesh, and a seq only moves its
+    // source's watermark: replay applies every record it admits.
+    if (s == nullptr || !fold_watermarks(*rec, &s->src_acks)) {
+      return corrupt();
+    }
+    const Json* mesh_json = get_obj(*rec, "mesh");
+    auto mesh = mesh_json != nullptr ? mesh_from_json(*mesh_json, &error)
+                                     : std::nullopt;
+    if (!mesh) return corrupt();
     if (type == "baseline") {
-      const Json* mesh_json = get_obj(*rec, "mesh");
-      if (mesh_json == nullptr) return corrupt();
-      auto mesh = mesh_from_json(*mesh_json, &error);
-      if (!mesh) return corrupt();
-      s->ts.set_baseline(std::move(*mesh));
-      s->round = 0;
-      s->diagnosis_round = 0;
-      s->diagnosis.clear();
-      s->src_acks.clear();
+      set_baseline(*s, std::move(*mesh));
     } else if (type == "obs" || type == "bobs") {
-      const Json* mesh_json = get_obj(*rec, "mesh");
-      if (mesh_json == nullptr) return corrupt();
-      const auto mesh = mesh_from_json(*mesh_json, &error);
-      if (!mesh) return corrupt();
       std::optional<core::ControlPlaneObs> cp;
       if (const Json* cp_json = rec->find("cp"); cp_json != nullptr) {
         cp = cp_from_json(*cp_json, &error);
         if (!cp) return corrupt();
       }
-      if (type == "obs") {
-        const auto fired =
-            apply_observation(*s, *mesh, cp ? &*cp : nullptr);
-        if (rec->find("seq") != nullptr) {
-          const auto seq = get_u64_field(*rec, "seq");
-          if (!seq) return corrupt();
-          s->last_seq = *seq;
-          s->last_seq_response =
-              ObserveResponse{s->round, s->ts.alarmed(), fired};
-        }
-      } else {
-        const Json* src = rec->find("src");
-        const auto seq = get_u64_field(*rec, "seq");
-        if (src == nullptr || !src->is_string() || !seq) return corrupt();
-        (void)apply_observation(*s, *mesh, cp ? &*cp : nullptr);
-        s->src_acks[src->as_string()] = *seq;
+      if (ingest(*s, kObserveSrc, std::nullopt, *mesh, cp ? &*cp : nullptr,
+                 /*live=*/false)
+              .rejected) {
+        return corrupt();
       }
     } else {
       return corrupt();
@@ -824,13 +839,7 @@ Response Server::handle(const SetBaselineRequest& req) {
                          kErrUnknownSession};
   }
   std::lock_guard<std::mutex> lock(session->mu);
-  session->ts.set_baseline(req.mesh);
-  session->round = 0;
-  session->diagnosis_round = 0;
-  session->diagnosis.clear();
-  // New epoch: agents that re-ship a baseline re-ship every observation
-  // after it, so stale watermarks must not swallow the redelivery.
-  session->src_acks.clear();
+  set_baseline(*session, req.mesh);
   if (session->journal != nullptr) {
     journal_append(*session, baseline_record(req.mesh));
   }
@@ -848,43 +857,21 @@ Response Server::handle(const ObserveRequest& req) {
   // trace id the agent stamped at measurement time.
   obs::Span span("rx_observe", span_parent(req.trace),
                  req.seq.value_or(0));
+  const core::ControlPlaneObs* cp = req.cp.has_value() ? &*req.cp : nullptr;
   std::lock_guard<std::mutex> lock(session->mu);
-  // Exactly-once rounds: a retried observe whose response was lost on the
-  // wire carries the seq the session already applied — answer it from the
-  // cache instead of feeding the same round twice.
-  if (req.seq.has_value() && session->last_seq == req.seq) {
-    {
-      std::lock_guard<std::mutex> mlock(metrics_mu_);
-      ++metrics_.dedup_hits;
-    }
-    obs::EventRing::record(obs::EventKind::kDedup, req.session,
-                           req.trace.has_value() ? req.trace->trace_id : 0);
-    return session->last_seq_response;
+  const Ingested in =
+      ingest(*session, kObserveSrc, req.seq, req.mesh, cp, /*live=*/true);
+  if (in.rejected) return *in.rejected;
+  if (in.deduped) {
+    count_dedups(req.session, kObserveSrc,
+                 req.trace.has_value() ? req.trace->trace_id : 0, 1);
   }
-  if (!session->ts.has_baseline()) {
-    return ErrorResponse{"session '" + req.session + "' has no baseline",
-                         kErrNoBaseline};
-  }
-  if (req.mesh.paths.size() != session->ts.baseline().paths.size()) {
-    return ErrorResponse{
-        "mesh covers " + std::to_string(req.mesh.paths.size()) +
-        " pairs but the baseline covers " +
-        std::to_string(session->ts.baseline().paths.size())};
-  }
-  const core::ControlPlaneObs* cp =
-      req.cp.has_value() ? &*req.cp : nullptr;
-  const auto fired = apply_observation(*session, req.mesh, cp);
-  ObserveResponse rsp{session->round, session->ts.alarmed(), fired};
-  if (req.seq.has_value()) {
-    session->last_seq = req.seq;
-    session->last_seq_response = rsp;
-  }
-  // Journaled before the response leaves the process: a crash after this
-  // point redelivers into the dedup cache, a crash before it redelivers
-  // into a round the recovered server never saw — either way applied
-  // exactly once as observed by the client.
-  if (session->journal != nullptr) {
-    journal_append(*session, obs_record(req.mesh, cp, req.seq));
+  // Answered from session state, so a deduplicated retry gets what its
+  // round earned: that round is still the latest.
+  ObserveResponse rsp{session->round, session->ts.alarmed(), std::nullopt};
+  if (!session->diagnosis.empty() &&
+      session->diagnosis_round == session->round) {
+    rsp.diagnosis = session->diagnosis;
   }
   return rsp;
 }
@@ -901,61 +888,41 @@ Response Server::handle(const ObserveBatchRequest& req) {
     std::lock_guard<std::mutex> lock(session->mu);
     // The watermark entry is created on first contact so even an empty
     // probe batch from a new source answers ack=0 rather than erroring.
-    std::uint64_t& watermark = session->src_acks[req.src];
+    const std::uint64_t& watermark = session->src_acks[req.src];
     for (const auto& item : req.items) {
       // Each item opens its own span under the trace the agent stamped
       // when the round was measured, so one observation's ship→journal→
       // solve timeline carries one trace id end to end.
       obs::Span item_span("rx_batch_item", span_parent(item.trace),
                           item.seq);
-      if (item.seq <= watermark) {
-        // Redelivered after a lost response; the round is already in the
-        // troubleshooter. Skipping is what makes redelivery exactly-once.
+      const core::ControlPlaneObs* cp =
+          item.cp.has_value() ? &*item.cp : nullptr;
+      const Ingested in =
+          ingest(*session, req.src, item.seq, item.mesh, cp, /*live=*/true);
+      if (in.rejected) {
+        ErrorResponse err = *in.rejected;
+        err.message = "batch item seq " + std::to_string(item.seq) + ": " +
+                      err.message;
+        return err;
+      }
+      if (in.deduped) {
         ++rsp.deduped;
         continue;
       }
-      if (!session->ts.has_baseline()) {
-        return ErrorResponse{"session '" + req.session + "' has no baseline",
-                             kErrNoBaseline};
-      }
-      if (item.mesh.paths.size() != session->ts.baseline().paths.size()) {
-        return ErrorResponse{
-            "batch item seq " + std::to_string(item.seq) + " covers " +
-            std::to_string(item.mesh.paths.size()) +
-            " pairs but the baseline covers " +
-            std::to_string(session->ts.baseline().paths.size())};
-      }
-      const core::ControlPlaneObs* cp =
-          item.cp.has_value() ? &*item.cp : nullptr;
-      const auto fired = apply_observation(*session, item.mesh, cp);
-      if (fired.has_value()) rsp.diagnosis = fired;
-      watermark = item.seq;
       ++rsp.applied;
-      // One record per applied item (not per batch): a crash mid-batch
-      // persists exactly the prefix that was applied, and the agent's
-      // redelivery of the whole batch dedups that prefix by watermark.
-      if (session->journal != nullptr) {
-        journal_append(*session,
-                       bobs_record(req.src, item.seq, item.mesh, cp));
-      }
+      if (in.fired) rsp.diagnosis = session->diagnosis;
     }
     rsp.ack = watermark;
     rsp.round = session->round;
     rsp.alarmed = session->ts.alarmed();
   }
   if (rsp.deduped > 0) {
-    {
-      std::lock_guard<std::mutex> mlock(metrics_mu_);
-      metrics_.dedup_hits += rsp.deduped;
-    }
     std::uint64_t trace_id = req.trace.has_value() ? req.trace->trace_id : 0;
     if (trace_id == 0 && !req.items.empty() &&
         req.items.front().trace.has_value()) {
       trace_id = req.items.front().trace->trace_id;
     }
-    obs::EventRing::record(obs::EventKind::kDedup,
-                           req.session + "/" + req.src, trace_id,
-                           rsp.deduped);
+    count_dedups(req.session, req.src, trace_id, rsp.deduped);
   }
   return rsp;
 }

@@ -21,8 +21,12 @@
 //   - overload shedding: connections beyond the bounded pending queue
 //     and sessions beyond max_sessions earn a structured `overloaded`
 //     ErrorResponse carrying retry_after_ms instead of unbounded queueing.
-//   - exactly-once observes: a retried observe carrying an already-applied
-//     sequence number is answered from the session's response cache.
+//   - exactly-once ingest: each session keeps one ack watermark per
+//     source — an agent's `src`, or "" for the observe verb — and skips a
+//     sequenced observation at or below it, so retries and redeliveries
+//     apply each round once. This holds for one seq-stamping observe
+//     client per session between baselines; a fleet ships observe_batch,
+//     each agent under its own `src`.
 //   - graceful drain: stop() lets in-flight requests finish (workers
 //     notice the stop at their next poll wakeup) before force-closing
 //     whatever remains past drain_timeout_ms.
@@ -151,15 +155,12 @@ class Server {
     std::size_t round = 0;           ///< observation rounds fed so far
     std::size_t diagnosis_round = 0; ///< round of last fired diagnosis
     std::string diagnosis;           ///< last diagnosis document ("" = none)
-    /// Exactly-once retry cache: the last applied observe seq and its
-    /// response, replayed verbatim when the same seq arrives again.
-    std::optional<std::uint64_t> last_seq;
-    ObserveResponse last_seq_response;
-    /// Batched-ingest ack watermarks, one per shipping agent (`src`):
-    /// highest seq applied. Items at or below their source's watermark
-    /// are skipped, which is what makes spool redelivery idempotent.
-    /// Cleared by set_baseline — a new baseline starts a new epoch, and
-    /// an agent that re-ships its baseline re-ships everything after it.
+    /// Ack watermarks: the highest seq applied from each source, "" being
+    /// the observe verb. A sequenced observation at or below its source's
+    /// watermark is skipped, which is what makes retries and spool
+    /// redelivery idempotent. Cleared by set_baseline — a new baseline
+    /// starts a new epoch, and an agent that re-ships its baseline
+    /// re-ships everything after it.
     std::map<std::string, std::uint64_t> src_acks;
     /// Write-ahead journal (guarded by `mu` like the rest of the
     /// session). Null when the server is ephemeral or this session's
@@ -190,13 +191,30 @@ class Server {
 
   [[nodiscard]] std::shared_ptr<Session> find_session(const std::string& name);
 
-  // --- durability ---------------------------------------------------------
-  /// The single mutation path both the live handlers and journal replay
-  /// go through: bumps the round, feeds the troubleshooter, updates the
-  /// diagnosis fields. Returns the diagnosis document when this round
-  /// fired one. Caller holds `s.mu`.
-  static std::optional<std::string> apply_observation(
-      Session& s, const probe::Mesh& mesh, const core::ControlPlaneObs* cp);
+  // --- ingest and durability ---------------------------------------------
+  /// What ingest() did with one observation.
+  struct Ingested {
+    bool deduped = false;  ///< skipped: its seq is at or below the watermark
+    bool fired = false;    ///< applied, and the round fired `s.diagnosis`
+    std::optional<ErrorResponse> rejected;  ///< not admitted; nothing changed
+  };
+  /// The one path an observation takes into a session: an observe (from
+  /// the reserved source ""), each observe_batch item, and each journal
+  /// record replayed at recovery. A `live` observation whose seq is at or
+  /// below its source's watermark is skipped. Otherwise it must be
+  /// admitted — the session holds a baseline and the mesh covers as many
+  /// pairs — and is applied; a live one then moves its source's watermark
+  /// and is journaled (replay folds watermarks with fold_watermarks).
+  /// Caller holds `s.mu`.
+  Ingested ingest(Session& s, const std::string& src,
+                  std::optional<std::uint64_t> seq, const probe::Mesh& mesh,
+                  const core::ControlPlaneObs* cp, bool live);
+  /// Starts a new epoch on `mesh`: the live set_baseline and its replay.
+  static void set_baseline(Session& s, probe::Mesh mesh);
+  /// Counts `n` sequenced observations from `src` skipped as already
+  /// applied: the dedup_hits counter and one event-ring entry.
+  void count_dedups(const std::string& session, const std::string& src,
+                    std::uint64_t trace_id, std::size_t n);
   /// Appends one record to the session's journal, which must be set, and
   /// commits a snapshot when one is due. An append failure degrades the
   /// session to ephemeral — requests keep working, durability stops.

@@ -127,8 +127,7 @@ std::optional<std::vector<TraceRecord>> read_trace(std::istream& is,
           !doc->is_object()) {
         return fail(line_no, "diagnosis needs round + diagnosis object");
       }
-      if (round->as_int() < 0 ||
-          static_cast<std::size_t>(round->as_int()) != round_in_episode) {
+      if (round->as_uint() != round_in_episode) {
         return fail(line_no, "diagnosis round does not match the stream");
       }
       rec.type = TraceRecord::Type::kDiagnosis;

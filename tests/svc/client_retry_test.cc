@@ -247,6 +247,59 @@ TEST(ClientRetryTest, DuplicateObserveSeqIsDedupedServerSide) {
   server.stop();
 }
 
+TEST(ClientRetryTest, NewClientAfterSetBaselineHasEveryRoundApplied) {
+  // Each retrying client numbers its observes from 1. A new client that
+  // starts a new epoch with set_baseline must not have its first rounds
+  // taken for retries of the previous client's.
+  Server::Options sopts;
+  sopts.endpoint.port = 0;
+  Server server(std::move(sopts));
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  Client::Options copts;
+  copts.max_retries = 2;  // retrying clients stamp every observe with a seq
+  const probe::Mesh mesh = tiny_mesh();
+
+  auto first = Client::connect(server.endpoint(), copts, &error);
+  ASSERT_TRUE(first.has_value()) << error;
+  HelloResponse hello;
+  SetBaselineResponse base;
+  ObserveResponse obs;
+  ASSERT_TRUE(expect_response(
+      first->call(Request{HelloRequest{"epochs", SessionConfig{}}}, &error),
+      &hello, &error))
+      << error;
+  ASSERT_TRUE(expect_response(
+      first->call(Request{SetBaselineRequest{"epochs", mesh}}, &error), &base,
+      &error))
+      << error;
+  ASSERT_TRUE(expect_response(
+      first->call(Request{ObserveRequest{"epochs", mesh, std::nullopt}},
+                  &error),
+      &obs, &error))
+      << error;
+  ASSERT_EQ(obs.round, 1u);
+
+  auto second = Client::connect(server.endpoint(), copts, &error);
+  ASSERT_TRUE(second.has_value()) << error;
+  ASSERT_TRUE(expect_response(
+      second->call(Request{SetBaselineRequest{"epochs", mesh}}, &error), &base,
+      &error))
+      << error;
+  for (std::size_t round = 1; round <= 2; ++round) {
+    ASSERT_TRUE(expect_response(
+        second->call(Request{ObserveRequest{"epochs", mesh, std::nullopt}},
+                     &error),
+        &obs, &error))
+        << error;
+    EXPECT_EQ(obs.round, round);
+  }
+  const auto stats = Json::parse(server.stats_json());
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->find("dedup_hits")->as_int(), 0);
+  server.stop();
+}
+
 TEST(OverloadTest, PendingQueueBeyondCapIsShedWithRetryAfter) {
   Server::Options sopts;
   sopts.endpoint.port = 0;

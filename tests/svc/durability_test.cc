@@ -1,14 +1,22 @@
 // In-process durability tests: a Server with a state directory is
 // stopped and a fresh Server is started over the same directory. The
-// acceptance property is byte-identical recovery — diagnosis state,
-// retry caches, and batch watermarks all survive the restart.
+// acceptance property is byte-identical recovery — diagnosis state and
+// the per-source watermarks that answer retries and redeliveries all
+// survive the restart. Session directories written record by record
+// pin what recovery accepts and what it quarantines; `netdiag wal` runs
+// as the real binary (NETDIAG_BIN, overridable by the same-named
+// environment variable).
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,10 +27,32 @@
 #include "svc/protocol.h"
 #include "svc/server.h"
 #include "svc/trace.h"
+#include "util/atomic_file.h"
 #include "util/record_log.h"
 
 namespace netd::svc {
 namespace {
+
+#ifndef NETDIAG_BIN
+#define NETDIAG_BIN ""
+#endif
+
+/// `netdiag wal --state-dir DIR` with `flags`: its stdout.
+std::string run_wal(const std::string& state_dir, const std::string& flags) {
+  const char* env = std::getenv("NETDIAG_BIN");
+  const std::string cmd = "'" + std::string(env ? env : NETDIAG_BIN) +
+                          "' wal --state-dir '" + state_dir + "' " + flags +
+                          " 2>/dev/null";
+  FILE* p = ::popen(cmd.c_str(), "r");
+  if (p == nullptr) return "";
+  std::string out;
+  char buf[4096];
+  while (const std::size_t n = std::fread(buf, 1, sizeof(buf), p)) {
+    out.append(buf, n);
+  }
+  (void)::pclose(p);
+  return out;
+}
 
 probe::Mesh healthy_mesh() {
   probe::Mesh mesh;
@@ -84,6 +114,83 @@ class DurabilityTest : public ::testing::Test {
     }
     return out;
   }
+
+  /// Lays out a session directory as a durable server does: `snapshot`
+  /// (when not empty) committed as SNAPSHOT, then `records` appended to
+  /// the journal, which numbers them from the snapshot's floor.
+  void write_session(const std::string& session,
+                     const std::vector<std::string>& records,
+                     const std::string& snapshot = "") const {
+    const std::string dir =
+        state_dir_ + "/sessions/" + encode_session_dir(session);
+    for (const std::string& d : {state_dir_ + "/sessions", dir}) {
+      ASSERT_TRUE(::mkdir(d.c_str(), 0755) == 0 || errno == EEXIST) << d;
+    }
+    std::string error;
+    if (!snapshot.empty()) {
+      ASSERT_TRUE(util::atomic_write_file(dir + "/SNAPSHOT", snapshot, &error))
+          << error;
+    }
+    SessionJournal::Options opts;
+    opts.dir = dir;
+    auto journal = SessionJournal::open(std::move(opts), &error);
+    ASSERT_NE(journal, nullptr) << error;
+    for (const std::string& rec : records) {
+      ASSERT_NE(journal->append(rec, &error), 0u) << error;
+    }
+  }
+
+  /// Starts a server beside `bad`, whose journal only a bug or a bad disk
+  /// could have written, and a healthy sibling session. `bad` must be
+  /// quarantined with every file renamed and every byte kept, while the
+  /// sibling recovers and keeps serving.
+  void expect_quarantined_beside_sibling(const std::string& bad) {
+    const std::string mesh = mesh_to_json(healthy_mesh()).dump();
+    write_session("sibling", {R"({"t":"hello","config":)" + kConfig + "}",
+                              R"({"t":"baseline","mesh":)" + mesh + "}",
+                              R"({"t":"obs","mesh":)" + mesh + "}"});
+    std::vector<std::pair<std::string, std::uint64_t>> files;
+    for (const std::string& f : session_files(bad, "")) {
+      files.emplace_back(f, util::file_size(f).value_or(0));
+    }
+    ASSERT_FALSE(files.empty());
+    Server server(durable_options());
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    Client c = connect(server);
+    ObserveResponse obs;
+    ASSERT_TRUE(expect_response(
+        c.call(Request{ObserveRequest{"sibling", healthy_mesh(), std::nullopt}},
+               &error),
+        &obs, &error))
+        << error;
+    EXPECT_EQ(obs.round, 2u);  // its journaled round, then this one
+    const auto rsp = c.call(Request{QueryRequest{bad}}, &error);
+    ASSERT_TRUE(rsp.has_value()) << error;
+    const auto* err = std::get_if<ErrorResponse>(&*rsp);
+    ASSERT_NE(err, nullptr) << serialize(*rsp);
+    EXPECT_EQ(err->code, kErrUnknownSession);
+    for (const auto& [path, size] : files) {
+      EXPECT_EQ(util::file_size(path + ".quarantined"), size) << path;
+      EXPECT_FALSE(util::file_size(path).has_value()) << path;
+    }
+    server.stop();
+  }
+
+  /// healthy_mesh() widened to `pairs` pairs, as the journal stores it.
+  static std::string wide_mesh_json(std::size_t pairs) {
+    probe::Mesh mesh;
+    for (std::size_t k = 0; k < pairs; ++k) {
+      probe::TracePath path = healthy_mesh().paths.front();
+      path.src = k;
+      path.dst = k + 1;
+      mesh.paths.push_back(std::move(path));
+    }
+    return mesh_to_json(mesh).dump();
+  }
+
+  static inline const std::string kConfig =
+      R"({"threshold":1,"algo":"nd-edge","granularity":"none"})";
 
   std::string state_dir_;
 };
@@ -468,6 +575,110 @@ TEST_F(DurabilityTest, CorruptJournalQuarantinesAndFallsBackToAmnesia) {
       &error))
       << error;
   EXPECT_TRUE(hello.created);
+  server.stop();
+}
+
+TEST_F(DurabilityTest, BatchRecordNarrowerThanItsBaselineQuarantines) {
+  write_session("narrow", {R"({"t":"hello","config":)" + kConfig + "}",
+                           R"({"t":"baseline","mesh":)" + wide_mesh_json(64) +
+                               "}",
+                           R"({"t":"bobs","src":"agent-1","seq":1,"mesh":)" +
+                               wide_mesh_json(1) + "}"});
+  expect_quarantined_beside_sibling("narrow");
+}
+
+TEST_F(DurabilityTest, ObservationBeforeAnyBaselineQuarantines) {
+  write_session("unbased", {R"({"t":"hello","config":)" + kConfig + "}",
+                            R"({"t":"obs","mesh":)" + wide_mesh_json(64) +
+                                R"(,"seq":1})"});
+  expect_quarantined_beside_sibling("unbased");
+}
+
+TEST_F(DurabilityTest, SnapshotDetectorNarrowerThanItsBaselineQuarantines) {
+  write_session(
+      "shrunk", {R"({"t":"obs","mesh":)" + wide_mesh_json(64) + "}"},
+      R"({"wal":2,"config":)" + kConfig +
+          R"(,"round":1,"diagnosis_round":0,"src_acks":{},"baseline":)" +
+          wide_mesh_json(64) +
+          R"(,"detector":{"fails":[0],"alarmed":[false]}})" + "\n");
+  expect_quarantined_beside_sibling("shrunk");
+}
+
+TEST_F(DurabilityTest, StateWrittenBeforeObserveSharedTheWatermarksRecovers) {
+  // A session directory as servers wrote it while observe kept its own
+  // retry cache: the SNAPSHOT holds last_seq and last_rsp, and every obs
+  // record its seq. Both now read as the observe source's ("") watermark.
+  const std::string up =
+      R"({"paths":[{"src":0,"dst":1,"ok":true,"hops":[["s0","s",1,-1],)"
+      R"(["r1","r",1,1],["s1","s",1,-1]],"links":[0,1]}]})";
+  const std::string down =
+      R"({"paths":[{"src":0,"dst":1,"ok":false,"hops":[["s0","s",1,-1],)"
+      R"(["r1","r",1,1]],"links":[0]}]})";
+  write_session(
+      "legacy",
+      {R"({"t":"obs","mesh":)" + up + R"(,"seq":2})",
+       R"({"t":"bobs","src":"agent-1","seq":1,"mesh":)" + up + "}",
+       R"({"t":"obs","mesh":)" + down + R"(,"seq":3})"},
+      R"({"wal":3,"config":)" + kConfig +
+          R"(,"round":1,"diagnosis_round":0,"last_seq":1,)"
+          R"("last_rsp":{"round":1,"alarmed":false},"src_acks":{},)"
+          R"("baseline":)" + up +
+          R"(,"detector":{"fails":[0],"alarmed":[false]}})" + "\n");
+  EXPECT_NE(run_wal(state_dir_, "--json")
+                .find(R"("watermarks":{"":3,"agent-1":1})"),
+            std::string::npos);
+  EXPECT_NE(run_wal(state_dir_, "").find("watermarks: (observe)=3 agent-1=1"),
+            std::string::npos);
+
+  // The same stream fed to an ephemeral server, uninterrupted.
+  std::string error;
+  const auto mesh = [&error](const std::string& text) {
+    return *mesh_from_json(*Json::parse(text), &error);
+  };
+  const auto cfg = session_config_from_json(*Json::parse(kConfig), &error);
+  ASSERT_TRUE(cfg.has_value()) << error;
+  std::string want_last, want_query;
+  {
+    Server::Options opts;
+    opts.endpoint.port = 0;
+    Server server(std::move(opts));
+    ASSERT_TRUE(server.start(&error)) << error;
+    Client c = connect(server);
+    for (const Request& req :
+         {Request{HelloRequest{"legacy", *cfg}},
+          Request{SetBaselineRequest{"legacy", mesh(up)}},
+          Request{ObserveRequest{"legacy", mesh(up), std::nullopt, 1}},
+          Request{ObserveRequest{"legacy", mesh(up), std::nullopt, 2}},
+          Request{ObserveBatchRequest{
+              "legacy", "agent-1", {ObserveItem{1, mesh(up), std::nullopt}}}},
+          Request{ObserveRequest{"legacy", mesh(down), std::nullopt, 3}},
+          Request{QueryRequest{"legacy"}}}) {
+      const auto rsp = c.call(req, &error);
+      ASSERT_TRUE(rsp.has_value()) << error;
+      ASSERT_EQ(std::get_if<ErrorResponse>(&*rsp), nullptr)
+          << serialize(*rsp);
+      want_last = std::exchange(want_query, serialize(*rsp));
+    }
+    server.stop();
+  }
+  ASSERT_NE(want_last.find("\"diagnosis\""), std::string::npos) << want_last;
+
+  Server server(durable_options());
+  ASSERT_TRUE(server.start(&error)) << error;
+  Client c = connect(server);
+  const auto query = c.call(Request{QueryRequest{"legacy"}}, &error);
+  ASSERT_TRUE(query.has_value()) << error;
+  EXPECT_EQ(serialize(*query), want_query);
+  EXPECT_TRUE(session_files("legacy", ".quarantined").empty());
+  // The client retries the last observe the old server applied: it is
+  // deduplicated and answered as the round was.
+  const auto retry = c.call(
+      Request{ObserveRequest{"legacy", mesh(down), std::nullopt, 3}}, &error);
+  ASSERT_TRUE(retry.has_value()) << error;
+  EXPECT_EQ(serialize(*retry), want_last);
+  const auto stats = Json::parse(server.stats_json());
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->find("dedup_hits")->as_int(), 1);
   server.stop();
 }
 

@@ -203,6 +203,10 @@ TEST(Protocol, ParseRequestRejectsHostileFrames) {
            std::string(R"({"v":1,"op":"frobnicate"})"),      // unknown op
            std::string(R"({"v":1,"op":"hello"})"),           // missing fields
            std::string(R"({"v":1,"op":"observe","session":"s"})"),  // no mesh
+           // A path that worked but has no hops: nothing to diagnose on.
+           std::string(R"({"v":1,"op":"set_baseline","session":"s","mesh":)"
+                       R"({"paths":[{"src":0,"dst":1,"ok":true,"hops":[],)"
+                       R"("links":[]}]}})"),
            std::string(R"([1,2,3])"),                        // not an object
        }) {
     std::string error;
@@ -251,6 +255,55 @@ TEST(Protocol, ParseBatchRejectsHostileFrames) {
       {ObserveItem{5, sample_mesh(), std::nullopt},
        ObserveItem{4, sample_mesh(), std::nullopt}}};
   EXPECT_FALSE(parse_request(serialize(backwards), &error).has_value());
+}
+
+TEST(Protocol, UnsignedFieldsAreDigitsOnlyAndRangeChecked) {
+  const std::string good =
+      serialize(Request{ObserveRequest{"s", sample_mesh(), std::nullopt, 3}});
+  auto with = [&](const std::string& from, const std::string& to) {
+    std::string frame = good;
+    const auto at = frame.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    frame.replace(at, from.size(), to);
+    return frame;
+  };
+  std::string error;
+  ASSERT_TRUE(parse_request(good, &error).has_value()) << error;
+  // A seq of 0 sits at every watermark's floor and would always read as
+  // applied, as batch items already reject. The others are not integers,
+  // or not unsigned 64-bit ones.
+  for (const std::string seq :
+       {"0", "1.5", "1e3", "-0", "-1", "18446744073709551616"}) {
+    error.clear();
+    EXPECT_FALSE(
+        parse_request(with(R"("seq":3)", R"("seq":)" + seq), &error)
+            .has_value())
+        << seq;
+    EXPECT_FALSE(error.empty()) << seq;
+  }
+  // -0 is not zero even where zero is legal, as a path's src.
+  EXPECT_FALSE(
+      parse_request(with(R"("src":0)", R"("src":-0)"), &error).has_value());
+  // Link and router ids are 32-bit, and all ones means "no id".
+  for (const std::string links : {"[3,4294967296]", "[3,4294967295]"}) {
+    EXPECT_FALSE(parse_request(with(R"("links":[3,9])", R"("links":)" + links),
+                               &error)
+                     .has_value())
+        << links;
+  }
+  for (const std::string router : {"4294967296", "-2", "7.0"}) {
+    EXPECT_FALSE(parse_request(with(R"("r",0,7])", R"("r",0,)" + router + "]"),
+                               &error)
+                     .has_value())
+        << router;
+  }
+  // The whole unsigned 64-bit range round-trips.
+  const Request max_seq =
+      ObserveRequest{"s", sample_mesh(), std::nullopt, UINT64_MAX};
+  EXPECT_EQ(reserialized(max_seq), serialize(max_seq));
+  const auto parsed = parse_request(serialize(max_seq), &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(std::get<ObserveRequest>(*parsed).seq, UINT64_MAX);
 }
 
 TEST(Protocol, ParseResponseRejectsHostileFrames) {
