@@ -84,7 +84,11 @@ struct DiagnosisGraph {
 };
 
 /// Builds G from the two mesh snapshots (which must cover the same sensor
-/// pairs in the same order). Pairs already unreachable at T− are dropped.
+/// pairs in the same order; the service checks this at admission). Pairs
+/// already unreachable at T− are dropped, and a path of fewer than two
+/// hops contributes no edge. Node, edge and key ids are assigned in first-
+/// sight order over each pair's T− then T+ hops, the order the solver's
+/// tie-breaks depend on.
 ///
 /// `paris_before`, when provided, is the T− Paris-traceroute snapshot
 /// (index-aligned with `before`): a changed-but-working T+ path that

@@ -199,6 +199,29 @@ std::optional<probe::Mesh> mesh_from_json(const Json& j, std::string* error) {
   return mesh;
 }
 
+bool round_fits_baseline(const probe::Mesh& baseline, const probe::Mesh& round,
+                         std::string* error) {
+  if (round.paths.size() != baseline.paths.size()) {
+    return set_error(error, "mesh covers " +
+                                std::to_string(round.paths.size()) +
+                                " pairs but the baseline covers " +
+                                std::to_string(baseline.paths.size()));
+  }
+  for (std::size_t k = 0; k < baseline.paths.size(); ++k) {
+    const probe::TracePath& r = round.paths[k];
+    const probe::TracePath& b = baseline.paths[k];
+    if (r.src != b.src || r.dst != b.dst) {
+      auto pair = [k](const probe::TracePath& t) {
+        return " pair " + std::to_string(k) + " is (" +
+               std::to_string(t.src) + "," + std::to_string(t.dst) + ")";
+      };
+      return set_error(error, "mesh" + pair(r) + " but the baseline's" +
+                                  pair(b));
+    }
+  }
+  return true;
+}
+
 Json cp_to_json(const core::ControlPlaneObs& cp) {
   Json igp = Json::array();
   for (const auto& k : cp.igp_down_keys) igp.push_back(Json::string(k));

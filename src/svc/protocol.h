@@ -286,6 +286,15 @@ using Response =
 [[nodiscard]] std::optional<probe::Mesh> mesh_from_json(const Json& j,
                                                         std::string* error);
 
+/// Whether `round` can be diagnosed against `baseline`: the diagnosis
+/// graph pairs their paths by index, so the round must list the
+/// baseline's (src, dst) pairs in the baseline's order. On false, `error`
+/// names the first difference. The server's ingest and the trace reader
+/// both admit rounds through it.
+[[nodiscard]] bool round_fits_baseline(const probe::Mesh& baseline,
+                                       const probe::Mesh& round,
+                                       std::string* error);
+
 [[nodiscard]] Json cp_to_json(const core::ControlPlaneObs& cp);
 [[nodiscard]] std::optional<core::ControlPlaneObs> cp_from_json(
     const Json& j, std::string* error);

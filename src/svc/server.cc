@@ -518,11 +518,8 @@ Server::Ingested Server::ingest(Session& s, const std::string& src,
     out.rejected = ErrorResponse{"session has no baseline", kErrNoBaseline};
     return out;
   }
-  if (mesh.paths.size() != s.ts.baseline().paths.size()) {
-    out.rejected = ErrorResponse{
-        "mesh covers " + std::to_string(mesh.paths.size()) +
-        " pairs but the baseline covers " +
-        std::to_string(s.ts.baseline().paths.size())};
+  if (std::string why; !round_fits_baseline(s.ts.baseline(), mesh, &why)) {
+    out.rejected = ErrorResponse{std::move(why)};
     return out;
   }
   ++s.round;

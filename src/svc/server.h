@@ -202,8 +202,9 @@ class Server {
   /// the reserved source ""), each observe_batch item, and each journal
   /// record replayed at recovery. A `live` observation whose seq is at or
   /// below its source's watermark is skipped. Otherwise it must be
-  /// admitted — the session holds a baseline and the mesh covers as many
-  /// pairs — and is applied; a live one then moves its source's watermark
+  /// admitted — the session holds a baseline and the mesh covers the
+  /// baseline's (src, dst) pairs in the baseline's order — and is
+  /// applied; a live one then moves its source's watermark
   /// and is journaled (replay folds watermarks with fold_watermarks).
   /// Caller holds `s.mu`.
   Ingested ingest(Session& s, const std::string& src,

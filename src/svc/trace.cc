@@ -68,6 +68,7 @@ std::optional<std::vector<TraceRecord>> read_trace(std::istream& is,
   std::string line;
   std::size_t line_no = 0;
   bool have_baseline = false;
+  std::size_t baseline_at = 0;  // index in `out` of the episode's baseline
   std::size_t round_in_episode = 0;
   while (std::getline(is, line)) {
     ++line_no;
@@ -106,9 +107,16 @@ std::optional<std::vector<TraceRecord>> read_trace(std::istream& is,
       if (name == "baseline") {
         rec.type = TraceRecord::Type::kBaseline;
         have_baseline = true;
+        baseline_at = out.size();
         round_in_episode = 0;
       } else {
         if (!have_baseline) return fail(line_no, "round before baseline");
+        // A healthy round becomes the troubleshooter's baseline, so every
+        // round of an episode must fit the episode's baseline record.
+        if (!round_fits_baseline(out[baseline_at].mesh, rec.mesh,
+                                 &parse_error)) {
+          return fail(line_no, parse_error);
+        }
         rec.type = TraceRecord::Type::kRound;
         ++round_in_episode;
         if (const Json* cp = j->find("cp"); cp != nullptr) {

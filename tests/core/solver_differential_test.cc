@@ -8,11 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "busiest_links.h"
 #include "core/algorithms.h"
 #include "exp/runner.h"
 #include "lg/looking_glass.h"
@@ -26,6 +26,8 @@
 
 namespace netd::core {
 namespace {
+
+using testing::busiest_links;
 
 void expect_identical(const Result& fast, const Result& ref,
                       const std::string& ctx) {
@@ -61,29 +63,6 @@ std::vector<Preset> all_presets() {
           {"nd_edge", nd_edge_options(), false},
           {"nd_bgpigp", nd_bgpigp_options(), true},
           {"nd_lg", nd_lg_options(), true}};
-}
-
-/// The most-traversed working links, strided across the mesh (the shape
-/// bench_scale fails), so failures hit many sensor pairs.
-std::vector<topo::LinkId> busiest_links(const probe::Mesh& before,
-                                        std::size_t num_links,
-                                        std::size_t count) {
-  std::vector<std::uint32_t> uses(num_links, 0);
-  for (const auto& p : before.paths) {
-    if (!p.ok) continue;
-    for (topo::LinkId l : p.links) ++uses[l.value()];
-  }
-  std::vector<std::uint32_t> order(num_links);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return uses[a] != uses[b] ? uses[a] > uses[b] : a < b;
-  });
-  std::vector<topo::LinkId> out;
-  for (std::size_t i = 0; i * 3 < order.size() && out.size() < count; ++i) {
-    if (uses[order[i * 3]] == 0) break;
-    out.push_back(topo::LinkId{order[i * 3]});
-  }
-  return out;
 }
 
 /// Ground-truth control-plane feed for a synthetic-prober episode: IGP

@@ -587,6 +587,22 @@ TEST_F(DurabilityTest, BatchRecordNarrowerThanItsBaselineQuarantines) {
   expect_quarantined_beside_sibling("narrow");
 }
 
+TEST_F(DurabilityTest, RecordWithPairsOutOfBaselineOrderQuarantines) {
+  probe::Mesh mesh;
+  mesh.paths = {healthy_mesh().paths.front(), healthy_mesh().paths.front()};
+  mesh.paths[1].src = 1;
+  mesh.paths[1].dst = 0;
+  probe::Mesh swapped = mesh;
+  std::swap(swapped.paths[0], swapped.paths[1]);
+  write_session("swapped",
+                {R"({"t":"hello","config":)" + kConfig + "}",
+                 R"({"t":"baseline","mesh":)" + mesh_to_json(mesh).dump() +
+                     "}",
+                 R"({"t":"bobs","src":"agent-1","seq":1,"mesh":)" +
+                     mesh_to_json(swapped).dump() + "}"});
+  expect_quarantined_beside_sibling("swapped");
+}
+
 TEST_F(DurabilityTest, ObservationBeforeAnyBaselineQuarantines) {
   write_session("unbased", {R"({"t":"hello","config":)" + kConfig + "}",
                             R"({"t":"obs","mesh":)" + wide_mesh_json(64) +

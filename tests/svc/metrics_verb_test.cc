@@ -103,6 +103,10 @@ class MetricsVerbTest : public ::testing::Test {
   void SetUp() override {
     Server::Options opts;
     opts.endpoint.port = 0;
+    // One worker more than ScrapesStayWellFormedUnderConcurrentSessions'
+    // looping sessions: a connection holds its worker for its lifetime,
+    // so with only 8 the scraper could wait forever.
+    opts.num_threads = 9;
     opts.campaign_stats = [this] {
       Json j = Json::object();
       j.set("completed", Json::uinteger(1));

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exp/runner.h"
@@ -97,6 +98,67 @@ TEST_F(ServerTest, ObserveWithoutSessionOrBaselineIsAnError) {
   const auto* err = std::get_if<ErrorResponse>(&*rsp);
   ASSERT_NE(err, nullptr);
   EXPECT_NE(err->message.find("baseline"), std::string::npos);
+}
+
+/// The diagnosis graph pairs a round's paths with the baseline's by
+/// index, so a round must list the baseline's (src, dst) pairs in the
+/// baseline's order. A round that does not is rejected, naming the first
+/// misplaced pair, and is not applied.
+TEST_F(ServerTest, RoundWithPairsOutOfBaselineOrderIsRejected) {
+  Client c = connect();
+  std::string error;
+  HelloResponse hello;
+  ASSERT_TRUE(expect_response(
+      c.call(Request{HelloRequest{"order", SessionConfig{}}}, &error), &hello,
+      &error))
+      << error;
+  probe::Mesh mesh;
+  for (std::size_t k = 0; k < 2; ++k) {
+    probe::TracePath path;
+    path.src = k;
+    path.dst = 1 - k;
+    path.ok = true;
+    path.hops = {{"s" + std::to_string(k), graph::NodeKind::kSensor, 4,
+                  topo::RouterId{}},
+                 {"r1", graph::NodeKind::kRouter, 1, topo::RouterId{}},
+                 {"s" + std::to_string(1 - k), graph::NodeKind::kSensor, 5,
+                  topo::RouterId{}}};
+    mesh.paths.push_back(std::move(path));
+  }
+  SetBaselineResponse base;
+  ASSERT_TRUE(expect_response(
+      c.call(Request{SetBaselineRequest{"order", mesh}}, &error), &base,
+      &error))
+      << error;
+  probe::Mesh swapped = mesh;
+  std::swap(swapped.paths[0], swapped.paths[1]);
+
+  auto rsp =
+      c.call(Request{ObserveRequest{"order", swapped, std::nullopt}}, &error);
+  ASSERT_TRUE(rsp.has_value()) << error;
+  const auto* err = std::get_if<ErrorResponse>(&*rsp);
+  ASSERT_NE(err, nullptr) << serialize(*rsp);
+  EXPECT_EQ(err->message,
+            "mesh pair 0 is (1,0) but the baseline's pair 0 is (0,1)");
+
+  ObserveBatchRequest batch{"order", "agent-1", {}, std::nullopt};
+  batch.items.push_back(ObserveItem{1, mesh, std::nullopt, std::nullopt});
+  batch.items.push_back(ObserveItem{2, swapped, std::nullopt, std::nullopt});
+  rsp = c.call(Request{batch}, &error);
+  ASSERT_TRUE(rsp.has_value()) << error;
+  err = std::get_if<ErrorResponse>(&*rsp);
+  ASSERT_NE(err, nullptr) << serialize(*rsp);
+  EXPECT_EQ(err->message,
+            "batch item seq 2: mesh pair 0 is (1,0) but the baseline's pair "
+            "0 is (0,1)");
+
+  // Only the aligned batch item was applied.
+  ObserveResponse obs;
+  ASSERT_TRUE(expect_response(
+      c.call(Request{ObserveRequest{"order", mesh, std::nullopt}}, &error),
+      &obs, &error))
+      << error;
+  EXPECT_EQ(obs.round, 2u);
 }
 
 TEST_F(ServerTest, ScenarioReplayThroughSocketMatchesRecording) {

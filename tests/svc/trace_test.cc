@@ -92,6 +92,17 @@ TEST(Trace, RejectsStructurallyInvalidStreams) {
       R"({"v":1,"type":"config","config":)"
       R"({"threshold":1,"algo":"nd-bgpigp","granularity":"per-neighbor"}})";
   const std::string mesh = R"("mesh":{"paths":[]})";
+  // Two unreachable pairs, (0,1) then (1,0), and rounds that do not fit.
+  const std::string p01 =
+      R"({"src":0,"dst":1,"ok":false,"hops":[],"links":[]})";
+  const std::string p10 =
+      R"({"src":1,"dst":0,"ok":false,"hops":[],"links":[]})";
+  auto episode = [&](const std::string& round_paths) {
+    return config + "\n" + R"({"v":1,"type":"baseline","mesh":{"paths":[)" +
+           p01 + "," + p10 + "]}}\n" +
+           R"({"v":1,"type":"round","mesh":{"paths":[)" + round_paths +
+           "]}}\n";
+  };
   struct Case {
     std::string text;
     std::string why;
@@ -106,6 +117,8 @@ TEST(Trace, RejectsStructurallyInvalidStreams) {
       {config + "\n" + R"({"v":1,"type":"wat"})" + "\n", "unknown type"},
       {R"({"v":9,"type":"config","config":{}})" + std::string("\n"),
        "unsupported version"},
+      {episode(p01), "round narrower than its baseline"},
+      {episode(p10 + "," + p01), "round pairs out of the baseline's order"},
   };
   for (const auto& c : cases) {
     std::istringstream is(c.text);
@@ -113,6 +126,14 @@ TEST(Trace, RejectsStructurallyInvalidStreams) {
     EXPECT_FALSE(read_trace(is, &error).has_value()) << c.why;
     EXPECT_FALSE(error.empty()) << c.why;
   }
+  std::istringstream swapped(episode(p10 + "," + p01));
+  std::string error;
+  ASSERT_FALSE(read_trace(swapped, &error).has_value());
+  EXPECT_EQ(error,
+            "trace line 3: mesh pair 0 is (1,0) but the baseline's pair 0 is "
+            "(0,1)");
+  std::istringstream aligned(episode(p01 + "," + p10));
+  EXPECT_TRUE(read_trace(aligned, &error).has_value()) << error;
 }
 
 TEST(Trace, DiagnosisRoundMustMatchStreamPosition) {
