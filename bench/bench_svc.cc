@@ -3,12 +3,17 @@
 // Records one exp::Runner trace, then times four stages of the service
 // stack on the identical input:
 //   svc_record_trace       runner episodes -> JSONL (codec write path)
-//   svc_codec_reparse      parse + reserialize every trace line
+//   svc_codec_reparse      decode + re-encode every trace line with the
+//                          typed codec; the DOM oracle (Json::parse plus
+//                          the DOM decoders and encoders) runs on the same
+//                          lines, must give the same bytes, and the row's
+//                          `speedup` is its time over the typed codec's
 //   svc_replay_in_process  trace -> fresh Troubleshooter, no socket
 //   svc_replay_socket      the same replay through a live unix-socket
 //                          server via svc::Client
 // The in-process/socket pair bounds the protocol + dispatch overhead per
 // observation round. Emits the usual ND_PERF_JSON records.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +21,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 #include <unistd.h>
 
 #include "common.h"
@@ -47,9 +53,9 @@ class Timer {
 };
 
 /// Same record shape as bench::timed_run so BENCH_svc.json rows align
-/// with the figure benchmarks'.
+/// with the figure benchmarks'. `extra` holds more ",key":value fields.
 void perf(const std::string& bench, double wall_ms, std::size_t threads,
-          const exp::ScenarioConfig& cfg) {
+          const exp::ScenarioConfig& cfg, const std::string& extra = "") {
   std::cout << "[perf] " << bench << ": " << wall_ms
             << " ms  (threads=" << threads << ")\n";
   if (const char* path = std::getenv("ND_PERF_JSON");
@@ -59,9 +65,45 @@ void perf(const std::string& bench, double wall_ms, std::size_t threads,
       os << "{\"bench\":\"" << bench << "\",\"wall_ms\":" << wall_ms
          << ",\"threads\":" << threads
          << ",\"placements\":" << cfg.num_placements
-         << ",\"trials\":" << cfg.trials_per_placement << "}\n";
+         << ",\"trials\":" << cfg.trials_per_placement << extra << "}\n";
     }
   }
+}
+
+/// The DOM oracle's round trip of one trace line: Json::parse, the DOM
+/// decoders, then the DOM encoders. Empty on a line it cannot decode.
+std::string dom_reencode(const std::string& line) {
+  const auto j = svc::Json::parse(line);
+  const svc::Json* type = j ? j->find("type") : nullptr;
+  if (type == nullptr) return "";
+  svc::Json out = svc::Json::object();
+  out.set("v", *j->find("v"));
+  out.set("type", *type);
+  std::string error;
+  if (type->as_string() == "config") {
+    const auto cfg = svc::session_config_from_json(*j->find("config"), &error);
+    if (!cfg) return "";
+    out.set("config", svc::session_config_to_json(*cfg));
+  } else if (type->as_string() == "diagnosis") {
+    const auto round = j->find("round")->as_uint();
+    out.set("round", svc::Json::uinteger(round.value_or(0)));
+    out.set("diagnosis", svc::Json::raw(j->find("diagnosis")->dump()));
+  } else {
+    const auto mesh = svc::mesh_from_json(*j->find("mesh"), &error);
+    if (!mesh) return "";
+    out.set("mesh", svc::mesh_to_json(*mesh));
+    if (const svc::Json* cp = j->find("cp"); cp != nullptr) {
+      const auto obs = svc::cp_from_json(*cp, &error);
+      if (!obs) return "";
+      out.set("cp", svc::cp_to_json(*obs));
+    }
+  }
+  return out.dump();
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 }  // namespace
@@ -102,26 +144,52 @@ int main() {
   const std::string jsonl = trace_os.str();
   perf("svc_record_trace", record_ms, 1, cfg);
 
-  // Codec: parse + reserialize every line; byte identity is pinned by the
-  // tests, here we only pay for it.
-  std::size_t lines = 0;
+  // Codec: decode + re-encode every line, typed and through the DOM
+  // oracle, the two taking turns line by line so a slow spell of the host
+  // lands on both; each side's time is its median pass.
+  std::vector<std::string> lines;
   {
-    Timer t;
     std::istringstream is(jsonl);
-    std::string line;
-    std::size_t bytes = 0;
-    while (std::getline(is, line)) {
-      ++lines;
-      const auto j = svc::Json::parse(line, &error);
-      if (!j.has_value()) {
-        std::cerr << "trace line failed to parse: " << error << "\n";
+    for (std::string line; std::getline(is, line);) lines.push_back(line);
+  }
+  {
+    constexpr int kPasses = 7;
+    std::vector<double> typed_ms, dom_ms;
+    for (int pass = 0; pass < kPasses; ++pass) {
+      std::string typed, dom;
+      double typed_pass = 0.0, dom_pass = 0.0;
+      for (const std::string& line : lines) {
+        Timer t;
+        const auto rec = svc::parse_trace_line(line, &error);
+        if (!rec.has_value()) {
+          std::cerr << "trace line failed to decode: " << error << "\n";
+          return 1;
+        }
+        typed += svc::trace_line(*rec);
+        typed_pass += t.ms();
+        Timer d;
+        dom += dom_reencode(line);
+        dom_pass += d.ms();
+        typed += '\n';
+        dom += '\n';
+      }
+      typed_ms.push_back(typed_pass);
+      dom_ms.push_back(dom_pass);
+      if (typed != jsonl || dom != jsonl) {
+        std::cerr << "codec round trip is not byte-identical ("
+                  << (typed != jsonl ? "typed" : "DOM oracle") << ")\n";
         return 1;
       }
-      bytes += j->dump().size();
     }
-    perf("svc_codec_reparse", t.ms(), 1, cfg);
-    std::cout << "  trace: " << *episodes << " episodes, " << lines
-              << " lines, " << bytes << " bytes\n";
+    const double typed = median(typed_ms);
+    const double dom = median(dom_ms);
+    std::ostringstream extra;
+    extra << ",\"dom_ms\":" << dom << ",\"speedup\":" << dom / typed;
+    perf("svc_codec_reparse", typed, 1, cfg, extra.str());
+    std::cout << "  trace: " << *episodes << " episodes, " << lines.size()
+              << " lines, " << jsonl.size() << " bytes; DOM oracle " << dom
+              << " ms, typed codec " << typed << " ms (" << dom / typed
+              << "x)\n";
   }
 
   // Replay without a socket: pure Troubleshooter re-execution.

@@ -10,7 +10,7 @@
 #include "obs/trace_context.h"
 #include "probe/sensors.h"
 #include "probe/synthetic.h"
-#include "svc/json.h"
+#include "svc/codec.h"
 #include "svc/socket.h"
 #include "topo/generator.h"
 #include "util/atomic_file.h"
@@ -141,22 +141,23 @@ obs::SpanContext trace_parent(const obs::TraceContext& tc) {
 }
 
 std::string round_payload(std::size_t round, const probe::Mesh& mesh) {
-  svc::Json j = svc::Json::object();
-  j.set("round", svc::Json::uinteger(round));
-  j.set("mesh", svc::mesh_to_json(mesh));
-  return j.dump();
+  std::string out = "{\"round\":";
+  svc::append_uint(out, round);
+  out += ",\"mesh\":";
+  svc::append_mesh(out, mesh);
+  out += '}';
+  return out;
 }
 
 std::optional<probe::Mesh> payload_mesh(std::string_view payload,
                                         std::string* error) {
-  const auto j = svc::Json::parse(payload, error);
-  if (!j.has_value()) return std::nullopt;
-  const svc::Json* mesh = j->find("mesh");
-  if (mesh == nullptr) {
+  auto doc = svc::parse_mesh_doc(payload, "mesh", /*items=*/false, error);
+  if (!doc.has_value()) return std::nullopt;
+  if (doc->mesh.state == svc::MeshMember::State::kAbsent) {
     if (error != nullptr) *error = "spool payload has no mesh";
     return std::nullopt;
   }
-  return svc::mesh_from_json(*mesh, error);
+  return doc->mesh.take(error);
 }
 
 }  // namespace
@@ -165,9 +166,7 @@ std::optional<probe::Mesh> Agent::load_baseline(std::string* error) const {
   const auto doc =
       util::read_file(cfg_.spool_dir + "/" + kBaselineFile, error);
   if (!doc.has_value()) return std::nullopt;
-  const auto j = svc::Json::parse(*doc, error);
-  if (!j.has_value()) return std::nullopt;
-  return svc::mesh_from_json(*j, error);
+  return svc::parse_mesh(*doc, error);
 }
 
 bool Agent::generate(Spool& spool, std::string* error) {
@@ -181,9 +180,9 @@ bool Agent::generate(Spool& spool, std::string* error) {
   if (!have_baseline) {
     // Durable before any round: an epoch reset re-ships baseline-first,
     // so the baseline must survive every crash the spool survives.
-    if (!util::atomic_write_file(baseline_path,
-                                 svc::mesh_to_json(w.baseline).dump(),
-                                 error)) {
+    std::string baseline;
+    svc::append_mesh(baseline, w.baseline);
+    if (!util::atomic_write_file(baseline_path, baseline, error)) {
       return false;
     }
   }

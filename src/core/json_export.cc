@@ -12,25 +12,34 @@ namespace netd::core {
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 4);
-  for (char c : s) {
+  append_json_escaped(out, s);
+  return out;
+}
+
+void append_json_escaped(std::string& out, std::string_view s) {
+  // Runs of bytes that need no escape are appended whole.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+        out += buf;
+      }
     }
   }
-  return out;
+  out.append(s, run, s.size() - run);
 }
 
 namespace {

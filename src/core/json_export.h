@@ -6,6 +6,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "core/diagnosis_graph.h"
 #include "core/solver.h"
@@ -27,5 +28,7 @@ namespace netd::core {
 
 /// Escapes a string for embedding in JSON (quotes not included).
 [[nodiscard]] std::string json_escape(const std::string& s);
+/// json_escape(s), appended to `out`.
+void append_json_escaped(std::string& out, std::string_view s);
 
 }  // namespace netd::core

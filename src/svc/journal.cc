@@ -10,6 +10,7 @@
 
 #include "obs/events.h"
 #include "obs/registry.h"
+#include "svc/codec.h"
 #include "svc/json.h"
 #include "util/atomic_file.h"
 
@@ -194,8 +195,9 @@ bool inspect_session_dir(const std::string& dir, Inspection* out,
     // The snapshot's "wal" field is the LSN floor: records at or below it
     // are already folded in. An unreadable or wal-less snapshot is
     // corruption — quarantine rather than replay against the wrong base.
-    const auto doc = Json::parse(*out->snapshot, nullptr);
-    const Json* w = doc && doc->is_object() ? doc->find("wal") : nullptr;
+    const auto doc = parse_mesh_doc(*out->snapshot, "baseline",
+                                    /*items=*/false, nullptr);
+    const Json* w = doc ? doc->rest.find("wal") : nullptr;
     out->wal = w != nullptr ? w->as_uint() : std::nullopt;
     if (!out->wal) {
       return damaged("unreadable " + snap_path + " (no \"wal\" LSN floor)",
@@ -230,6 +232,45 @@ bool inspect_session_dir(const std::string& dir, Inspection* out,
     prev = scan.last_seq;
   }
   return true;
+}
+
+std::string hello_record(const SessionConfig& cfg) {
+  Json j = Json::object();
+  j.set("t", Json::string("hello"));
+  j.set("config", session_config_to_json(cfg));
+  return j.dump();
+}
+
+std::string baseline_record(const probe::Mesh& mesh) {
+  std::string out = "{\"t\":\"baseline\",\"mesh\":";
+  append_mesh(out, mesh);
+  out += '}';
+  return out;
+}
+
+std::string observation_record(const std::string& src,
+                               std::optional<std::uint64_t> seq,
+                               const probe::Mesh& mesh,
+                               const core::ControlPlaneObs* cp) {
+  const bool batch = !src.empty();
+  std::string out = batch ? "{\"t\":\"bobs\",\"src\":" : "{\"t\":\"obs\"";
+  if (batch) {
+    append_string(out, src);
+    out += ",\"seq\":";
+    append_uint(out, seq.value_or(0));
+  }
+  out += ",\"mesh\":";
+  append_mesh(out, mesh);
+  if (cp != nullptr) {
+    out += ",\"cp\":";
+    cp_to_json(*cp).dump_to(out);
+  }
+  if (!batch && seq.has_value()) {
+    out += ",\"seq\":";
+    append_uint(out, *seq);
+  }
+  out += '}';
+  return out;
 }
 
 bool fold_watermarks(const Json& doc,

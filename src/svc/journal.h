@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "svc/json.h"
+#include "svc/protocol.h"
 #include "util/segment_log.h"
 
 namespace netd::svc {
@@ -119,6 +120,23 @@ struct Inspection {
 /// malformed.
 [[nodiscard]] bool fold_watermarks(const Json& doc,
                                    std::map<std::string, std::uint64_t>* acks);
+
+// Journal record payloads: one compact JSON document per mutation,
+// carrying exactly the request fields the handler applied — replay feeds
+// them back through the same apply path, which is what makes a recovered
+// session byte-identical to the uninterrupted one.
+
+/// The record that creates a session: {"t":"hello","config":..}.
+[[nodiscard]] std::string hello_record(const SessionConfig& cfg);
+/// The journal record of an installed baseline: {"t":"baseline","mesh":..}.
+[[nodiscard]] std::string baseline_record(const probe::Mesh& mesh);
+/// The journal record of one applied observation. The observe verb's
+/// (source "") is {"t":"obs","mesh":..,"cp":..,"seq":..}, cp and seq when
+/// present; a batch item's is {"t":"bobs","src":..,"seq":..,"mesh":..,
+/// "cp":..}.
+[[nodiscard]] std::string observation_record(
+    const std::string& src, std::optional<std::uint64_t> seq,
+    const probe::Mesh& mesh, const core::ControlPlaneObs* cp);
 
 // ---------------------------------------------------------------------------
 

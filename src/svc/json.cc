@@ -86,12 +86,32 @@ long long Json::as_int() const {
 
 std::optional<std::uint64_t> Json::as_uint(std::uint64_t max) const {
   if (type_ != Type::kNumber) return std::nullopt;
+  return uint_from_lexeme(str_, max);
+}
+
+std::optional<std::uint64_t> Json::uint_from_lexeme(std::string_view lexeme,
+                                                    std::uint64_t max) {
   // from_chars takes no sign for an unsigned type and stops at a '.',
   // 'e' or 'E', so anything but plain digits leaves bytes unconsumed.
   std::uint64_t v = 0;
-  const char* end = str_.data() + str_.size();
-  const auto [ptr, ec] = std::from_chars(str_.data(), end, v);
+  const char* end = lexeme.data() + lexeme.size();
+  const auto [ptr, ec] = std::from_chars(lexeme.data(), end, v);
   if (ec != std::errc() || ptr != end || v > max) return std::nullopt;
+  return v;
+}
+
+std::optional<int> Json::as_int32() const {
+  if (type_ != Type::kNumber) return std::nullopt;
+  return int32_from_lexeme(str_);
+}
+
+std::optional<int> Json::int32_from_lexeme(std::string_view lexeme) {
+  // A signed from_chars takes one '-' and digits; it fails out of range
+  // and stops at a fraction or exponent.
+  int v = 0;
+  const char* end = lexeme.data() + lexeme.size();
+  const auto [ptr, ec] = std::from_chars(lexeme.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
   return v;
 }
 
@@ -135,7 +155,7 @@ void Json::dump_to(std::string& out) const {
       break;
     case Type::kString:
       out += '"';
-      out += core::json_escape(str_);
+      core::append_json_escaped(out, str_);
       out += '"';
       break;
     case Type::kArray: {
@@ -156,7 +176,7 @@ void Json::dump_to(std::string& out) const {
         if (!first) out += ',';
         first = false;
         out += '"';
-        out += core::json_escape(k);
+        core::append_json_escaped(out, k);
         out += "\":";
         v.dump_to(out);
       }
@@ -172,317 +192,331 @@ std::string Json::dump() const {
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// The grammar.
+
+bool JsonReader::fail(std::string_view what) {
+  if (error_ != nullptr && error_->empty()) {
+    *error_ = "offset " + std::to_string(pos_) + ": ";
+    *error_ += what;
+  }
+  return false;
+}
+
+void JsonReader::skip_ws() {
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+    ++pos_;
+  }
+}
+
+bool JsonReader::finish() {
+  skip_ws();
+  return pos_ == text_.size() || fail("trailing characters after document");
+}
+
+bool JsonReader::begin_value(std::size_t depth, Kind* kind) {
+  if (eof()) return fail("unexpected end of input");
+  // `depth` is the number of enclosing containers; opening another
+  // array/object past kMaxParseDepth is rejected, so containers nest at
+  // most kMaxParseDepth levels. Scalars at the limit are fine — only
+  // containers recurse.
+  switch (peek()) {
+    case 'n':
+    case 't':
+    case 'f':
+      *kind = Kind::kLiteral;
+      return true;
+    case '"':
+      *kind = Kind::kString;
+      return true;
+    case '[':
+      *kind = Kind::kArray;
+      break;
+    case '{':
+      *kind = Kind::kObject;
+      break;
+    default:
+      *kind = Kind::kNumber;
+      return true;
+  }
+  return depth < Json::kMaxParseDepth || fail("nesting too deep");
+}
+
+bool JsonReader::value(Json& out, std::size_t depth) {
+  Kind kind;
+  if (!begin_value(depth, &kind)) return false;
+  switch (kind) {
+    case Kind::kLiteral:
+      if (peek() == 'n') return literal("null") && (out = Json::null(), true);
+      if (peek() == 't') {
+        return literal("true") && (out = Json::boolean(true), true);
+      }
+      return literal("false") && (out = Json::boolean(false), true);
+    case Kind::kString:
+      out = Json();
+      out.type_ = Json::Type::kString;
+      return string(out.str_);
+    case Kind::kNumber: {
+      std::string_view lexeme;
+      if (!number(&lexeme)) return false;
+      out = Json::number_from_lexeme(std::string(lexeme));
+      return true;
+    }
+    case Kind::kArray:
+      out = Json::array();
+      if (!open_array()) return true;
+      while (true) {
+        if (!value(out.items_.emplace_back(), depth + 1)) return false;
+        const Next next = next_element();
+        if (next != Next::kMore) return next == Next::kEnd;
+      }
+    case Kind::kObject: {
+      out = Json::object();
+      if (!open_object()) return true;
+      std::string scratch;
+      while (true) {
+        std::string_view k;
+        if (!key(&k, scratch)) return false;
+        if (out.find(k) != nullptr) return duplicate_key(k);
+        auto& member = out.members_.emplace_back(std::string(k), Json());
+        if (!colon() || !value(member.second, depth + 1)) return false;
+        const Next next = next_member();
+        if (next != Next::kMore) return next == Next::kEnd;
+      }
+    }
+  }
+  return false;
+}
+
+bool JsonReader::literal(std::string_view lit) {
+  if (text_.substr(pos_, lit.size()) != lit) return fail("invalid literal");
+  pos_ += lit.size();
+  return true;
+}
+
+bool JsonReader::hex4(unsigned& out) {
+  if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
+  out = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char c = text_[pos_++];
+    out <<= 4;
+    if (c >= '0' && c <= '9') {
+      out |= static_cast<unsigned>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      out |= static_cast<unsigned>(c - 'a' + 10);
+    } else if (c >= 'A' && c <= 'F') {
+      out |= static_cast<unsigned>(c - 'A' + 10);
+    } else {
+      --pos_;
+      return fail("bad hex digit in \\u escape");
+    }
+  }
+  return true;
+}
+
 namespace {
 
-class Parser {
- public:
-  Parser(std::string_view text, std::string* error)
-      : text_(text), error_(error) {}
-
-  std::optional<Json> run() {
-    skip_ws();
-    Json v;
-    if (!parse_value(v, 0)) return std::nullopt;
-    skip_ws();
-    if (pos_ != text_.size()) {
-      fail("trailing characters after document");
-      return std::nullopt;
-    }
-    return v;
+void append_utf8(std::string& s, unsigned cp) {
+  if (cp < 0x80) {
+    s += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    s += static_cast<char>(0xC0 | (cp >> 6));
+    s += static_cast<char>(0x80 | (cp & 0x3F));
+  } else if (cp < 0x10000) {
+    s += static_cast<char>(0xE0 | (cp >> 12));
+    s += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    s += static_cast<char>(0x80 | (cp & 0x3F));
+  } else {
+    s += static_cast<char>(0xF0 | (cp >> 18));
+    s += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+    s += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    s += static_cast<char>(0x80 | (cp & 0x3F));
   }
+}
 
- private:
-  void fail(const std::string& what) {
-    if (error_ != nullptr && error_->empty()) {
-      *error_ = "offset " + std::to_string(pos_) + ": " + what;
-    }
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  [[nodiscard]] bool eof() const { return pos_ >= text_.size(); }
-  [[nodiscard]] char peek() const { return text_[pos_]; }
-
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) {
-      fail("invalid literal");
-      return false;
-    }
-    pos_ += lit.size();
-    return true;
-  }
-
-  bool parse_value(Json& out, std::size_t depth) {
-    if (eof()) {
-      fail("unexpected end of input");
-      return false;
-    }
-    // `depth` is the number of enclosing containers; opening another
-    // array/object past kMaxParseDepth is rejected, so containers nest at
-    // most kMaxParseDepth levels. Scalars at the limit are fine — only
-    // containers recurse.
-    if (depth >= Json::kMaxParseDepth && (peek() == '[' || peek() == '{')) {
-      fail("nesting too deep");
-      return false;
-    }
-    switch (peek()) {
-      case 'n':
-        return consume_literal("null") && (out = Json::null(), true);
-      case 't':
-        return consume_literal("true") && (out = Json::boolean(true), true);
-      case 'f':
-        return consume_literal("false") && (out = Json::boolean(false), true);
-      case '"': {
-        std::string s;
-        if (!parse_string(s)) return false;
-        out = Json::string(std::move(s));
-        return true;
-      }
-      case '[':
-        return parse_array(out, depth);
-      case '{':
-        return parse_object(out, depth);
-      default:
-        return parse_number(out);
-    }
-  }
-
-  bool parse_hex4(unsigned& out) {
-    if (pos_ + 4 > text_.size()) {
-      fail("truncated \\u escape");
-      return false;
-    }
-    out = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_++];
-      out <<= 4;
-      if (c >= '0' && c <= '9') {
-        out |= static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        out |= static_cast<unsigned>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        out |= static_cast<unsigned>(c - 'A' + 10);
-      } else {
-        --pos_;
-        fail("bad hex digit in \\u escape");
-        return false;
-      }
-    }
-    return true;
-  }
-
-  static void append_utf8(std::string& s, unsigned cp) {
-    if (cp < 0x80) {
-      s += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      s += static_cast<char>(0xC0 | (cp >> 6));
-      s += static_cast<char>(0x80 | (cp & 0x3F));
-    } else if (cp < 0x10000) {
-      s += static_cast<char>(0xE0 | (cp >> 12));
-      s += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      s += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      s += static_cast<char>(0xF0 | (cp >> 18));
-      s += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-      s += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      s += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
-  bool parse_string(std::string& out) {
-    ++pos_;  // opening quote
-    out.clear();
-    while (true) {
-      if (eof()) {
-        fail("unterminated string");
-        return false;
-      }
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-        return false;
-      }
-      if (c != '\\') {
-        out += c;
-        ++pos_;
-        continue;
-      }
-      ++pos_;
-      if (eof()) {
-        fail("truncated escape");
-        return false;
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          unsigned cp = 0;
-          if (!parse_hex4(cp)) return false;
-          if (cp >= 0xD800 && cp <= 0xDBFF) {  // high surrogate
-            if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
-                text_[pos_ + 1] != 'u') {
-              fail("lone high surrogate");
-              return false;
-            }
-            pos_ += 2;
-            unsigned lo = 0;
-            if (!parse_hex4(lo)) return false;
-            if (lo < 0xDC00 || lo > 0xDFFF) {
-              fail("invalid low surrogate");
-              return false;
-            }
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-          } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-            fail("lone low surrogate");
-            return false;
-          }
-          append_utf8(out, cp);
-          break;
-        }
-        default:
-          --pos_;
-          fail("unknown escape");
-          return false;
-      }
-    }
-  }
-
-  bool parse_number(Json& out) {
-    const std::size_t start = pos_;
-    if (!eof() && peek() == '-') ++pos_;
-    if (eof() || peek() < '0' || peek() > '9') {
-      pos_ = start;
-      fail("invalid number");
-      return false;
-    }
-    if (peek() == '0') {
-      ++pos_;
-    } else {
-      while (!eof() && peek() >= '0' && peek() <= '9') ++pos_;
-    }
-    if (!eof() && peek() == '.') {
-      ++pos_;
-      if (eof() || peek() < '0' || peek() > '9') {
-        fail("digit required after decimal point");
-        return false;
-      }
-      while (!eof() && peek() >= '0' && peek() <= '9') ++pos_;
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (eof() || peek() < '0' || peek() > '9') {
-        fail("digit required in exponent");
-        return false;
-      }
-      while (!eof() && peek() >= '0' && peek() <= '9') ++pos_;
-    }
-    out = Json::number_from_lexeme(
-        std::string(text_.substr(start, pos_ - start)));
-    return true;
-  }
-
-  bool parse_array(Json& out, std::size_t depth) {
-    ++pos_;  // '['
-    out = Json::array();
-    skip_ws();
-    if (!eof() && peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      Json v;
-      skip_ws();
-      if (!parse_value(v, depth + 1)) return false;
-      out.push_back(std::move(v));
-      skip_ws();
-      if (eof()) {
-        fail("unterminated array");
-        return false;
-      }
-      const char c = text_[pos_++];
-      if (c == ']') return true;
-      if (c != ',') {
-        --pos_;
-        fail("expected ',' or ']'");
-        return false;
-      }
-    }
-  }
-
-  bool parse_object(Json& out, std::size_t depth) {
-    ++pos_;  // '{'
-    out = Json::object();
-    skip_ws();
-    if (!eof() && peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (eof() || peek() != '"') {
-        fail("expected object key");
-        return false;
-      }
-      std::string key;
-      if (!parse_string(key)) return false;
-      if (out.find(key) != nullptr) {
-        fail("duplicate object key '" + key + "'");
-        return false;
-      }
-      skip_ws();
-      if (eof() || text_[pos_] != ':') {
-        fail("expected ':'");
-        return false;
-      }
-      ++pos_;
-      skip_ws();
-      Json v;
-      if (!parse_value(v, depth + 1)) return false;
-      out.set(std::move(key), std::move(v));
-      skip_ws();
-      if (eof()) {
-        fail("unterminated object");
-        return false;
-      }
-      const char c = text_[pos_++];
-      if (c == '}') return true;
-      if (c != ',') {
-        --pos_;
-        fail("expected ',' or '}'");
-        return false;
-      }
-    }
-  }
-
-  std::string_view text_;
-  std::string* error_;
-  std::size_t pos_ = 0;
-};
+/// Bytes a string copies through unchanged: not the closing quote, not
+/// an escape, not a control character.
+bool plain_string_byte(char c) {
+  return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
+}
 
 }  // namespace
 
+bool JsonReader::string(std::string& out) {
+  ++pos_;  // opening quote
+  out.clear();
+  while (true) {
+    const std::size_t run = pos_;
+    while (pos_ < text_.size() && plain_string_byte(text_[pos_])) ++pos_;
+    out.append(text_, run, pos_ - run);
+    if (eof()) return fail("unterminated string");
+    const char c = text_[pos_];
+    if (c == '"') {
+      ++pos_;
+      return true;
+    }
+    if (c != '\\') return fail("unescaped control character in string");
+    ++pos_;
+    if (eof()) return fail("truncated escape");
+    const char esc = text_[pos_++];
+    switch (esc) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        unsigned cp = 0;
+        if (!hex4(cp)) return false;
+        if (cp >= 0xD800 && cp <= 0xDBFF) {  // high surrogate
+          if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
+              text_[pos_ + 1] != 'u') {
+            return fail("lone high surrogate");
+          }
+          pos_ += 2;
+          unsigned lo = 0;
+          if (!hex4(lo)) return false;
+          if (lo < 0xDC00 || lo > 0xDFFF) {
+            return fail("invalid low surrogate");
+          }
+          cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+        } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+          return fail("lone low surrogate");
+        }
+        append_utf8(out, cp);
+        break;
+      }
+      default:
+        --pos_;
+        return fail("unknown escape");
+    }
+  }
+}
+
+bool JsonReader::number(std::string_view* lexeme) {
+  auto digit = [this] { return !eof() && peek() >= '0' && peek() <= '9'; };
+  const std::size_t start = pos_;
+  if (!eof() && peek() == '-') ++pos_;
+  if (!digit()) {
+    pos_ = start;
+    return fail("invalid number");
+  }
+  if (peek() == '0') {
+    ++pos_;
+  } else {
+    while (digit()) ++pos_;
+  }
+  if (!eof() && peek() == '.') {
+    ++pos_;
+    if (!digit()) return fail("digit required after decimal point");
+    while (digit()) ++pos_;
+  }
+  if (!eof() && (peek() == 'e' || peek() == 'E')) {
+    ++pos_;
+    if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
+    if (!digit()) return fail("digit required in exponent");
+    while (digit()) ++pos_;
+  }
+  *lexeme = text_.substr(start, pos_ - start);
+  return true;
+}
+
+bool JsonReader::open_array() {
+  ++pos_;  // '['
+  skip_ws();
+  if (!eof() && peek() == ']') {
+    ++pos_;
+    return false;
+  }
+  return true;
+}
+
+JsonReader::Next JsonReader::next_element() {
+  skip_ws();
+  if (eof()) {
+    fail("unterminated array");
+    return Next::kError;
+  }
+  const char c = text_[pos_++];
+  if (c == ']') return Next::kEnd;
+  if (c != ',') {
+    --pos_;
+    fail("expected ',' or ']'");
+    return Next::kError;
+  }
+  skip_ws();
+  return Next::kMore;
+}
+
+bool JsonReader::open_object() {
+  ++pos_;  // '{'
+  skip_ws();
+  if (!eof() && peek() == '}') {
+    ++pos_;
+    return false;
+  }
+  return true;
+}
+
+bool JsonReader::key(std::string_view* key, std::string& scratch) {
+  skip_ws();
+  if (eof() || peek() != '"') return fail("expected object key");
+  // Most keys hold no escape: view them where they lie.
+  std::size_t end = pos_ + 1;
+  while (end < text_.size() && plain_string_byte(text_[end])) ++end;
+  if (end < text_.size() && text_[end] == '"') {
+    *key = text_.substr(pos_ + 1, end - pos_ - 1);
+    pos_ = end + 1;
+    return true;
+  }
+  if (!string(scratch)) return false;
+  *key = scratch;
+  return true;
+}
+
+bool JsonReader::duplicate_key(std::string_view key) {
+  std::string what = "duplicate object key '";
+  what += key;
+  what += "'";
+  return fail(what);
+}
+
+bool JsonReader::colon() {
+  skip_ws();
+  if (eof() || text_[pos_] != ':') return fail("expected ':'");
+  ++pos_;
+  skip_ws();
+  return true;
+}
+
+JsonReader::Next JsonReader::next_member() {
+  skip_ws();
+  if (eof()) {
+    fail("unterminated object");
+    return Next::kError;
+  }
+  const char c = text_[pos_++];
+  if (c == '}') return Next::kEnd;
+  if (c != ',') {
+    --pos_;
+    fail("expected ',' or '}'");
+    return Next::kError;
+  }
+  return Next::kMore;
+}
+
 std::optional<Json> Json::parse(std::string_view text, std::string* error) {
   if (error != nullptr) error->clear();
-  Parser p(text, error);
-  return p.run();
+  JsonReader r(text, error);
+  r.skip_ws();
+  Json v;
+  if (!r.value(v, 0) || !r.finish()) return std::nullopt;
+  return v;
 }
 
 }  // namespace netd::svc

@@ -81,6 +81,16 @@ class Json {
   /// sequence number read off the wire or the disk.
   [[nodiscard]] std::optional<std::uint64_t> as_uint(
       std::uint64_t max = UINT64_MAX) const;
+  /// as_uint's rule on a bare number lexeme.
+  [[nodiscard]] static std::optional<std::uint64_t> uint_from_lexeme(
+      std::string_view lexeme, std::uint64_t max = UINT64_MAX);
+  /// The number as an `int`: std::nullopt unless the lexeme is an integer
+  /// (an optional '-', then digits) in int range. The accessor for AS
+  /// numbers, which a fraction or a wrap past 32 bits would silently
+  /// turn into another AS.
+  [[nodiscard]] std::optional<int> as_int32() const;
+  [[nodiscard]] static std::optional<int> int32_from_lexeme(
+      std::string_view lexeme);
   [[nodiscard]] const std::string& as_string() const { return str_; }
 
   // Arrays.
@@ -104,12 +114,82 @@ class Json {
   void dump_to(std::string& out) const;
 
  private:
+  friend class JsonReader;
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   std::string str_;  ///< string value, number lexeme, or raw splice
   bool raw_ = false;
   std::vector<Json> items_;
   std::vector<std::pair<std::string, Json>> members_;
+};
+
+/// The JSON grammar, defined once: a cursor over one document that both
+/// Json::parse and the typed wire codec (svc/codec.h) walk. Whitespace,
+/// literals, strings and their escapes, numbers, the nesting bound and
+/// the duplicate-key error all live here, so every reader accepts the
+/// same language and fails with the same "offset N: what" text. Each
+/// call that returns false has recorded that text in `error` (the first
+/// failure wins); the cursor is then unusable.
+class JsonReader {
+ public:
+  /// What the value at the cursor is, judged by its first byte as the
+  /// parser dispatches on it (anything unrecognized reads as a number and
+  /// fails as one).
+  enum class Kind { kLiteral, kString, kNumber, kArray, kObject };
+  /// What follows an array element or an object member.
+  enum class Next { kMore, kEnd, kError };
+
+  JsonReader(std::string_view text, std::string* error)
+      : text_(text), error_(error) {}
+
+  void skip_ws();
+  /// After the document: only whitespace may remain.
+  [[nodiscard]] bool finish();
+
+  /// Checks that a value starts here, `depth` containers deep, and
+  /// classifies it. Fails at the end of input and on a container that
+  /// would nest deeper than Json::kMaxParseDepth.
+  [[nodiscard]] bool begin_value(std::size_t depth, Kind* kind);
+  /// One whole value at `depth` into a DOM: the recursion of Json::parse,
+  /// and how the typed readers validate members they do not decode.
+  [[nodiscard]] bool value(Json& out, std::size_t depth);
+
+  /// A string (the cursor on its opening quote), unescaped into `out`.
+  [[nodiscard]] bool string(std::string& out);
+  /// A number; `lexeme` views its bytes in the document.
+  [[nodiscard]] bool number(std::string_view* lexeme);
+
+  /// Consumes '[' and the whitespace after it. False when the array is
+  /// empty, its ']' consumed too.
+  [[nodiscard]] bool open_array();
+  /// After an element: consumes ',' (kMore) or ']' (kEnd).
+  [[nodiscard]] Next next_element();
+  /// Consumes '{' and the whitespace after it. False when the object is
+  /// empty, its '}' consumed too.
+  [[nodiscard]] bool open_object();
+  /// A member's key, unescaped. `key` views the document when the key
+  /// holds no escape, and `scratch` otherwise.
+  [[nodiscard]] bool key(std::string_view* key, std::string& scratch);
+  /// The error for a key already seen in the same object; returns false.
+  bool duplicate_key(std::string_view key);
+  /// The ':' between a key and its value.
+  [[nodiscard]] bool colon();
+  /// After a member's value: consumes ',' (kMore) or '}' (kEnd).
+  [[nodiscard]] Next next_member();
+
+ private:
+  /// Records "offset <pos>: <what>" unless an error is already recorded.
+  bool fail(std::string_view what);
+  /// The exact literal `lit` ("true", "false" or "null").
+  [[nodiscard]] bool literal(std::string_view lit);
+  [[nodiscard]] bool eof() const { return pos_ >= text_.size(); }
+  [[nodiscard]] char peek() const { return text_[pos_]; }
+  bool hex4(unsigned& out);
+
+  std::string_view text_;
+  std::string* error_;
+  std::size_t pos_ = 0;
 };
 
 }  // namespace netd::svc

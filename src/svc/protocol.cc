@@ -3,29 +3,11 @@
 #include <type_traits>
 
 #include "core/algorithms.h"
+#include "svc/codec.h"
 
 namespace netd::svc {
 
 namespace {
-
-// Hop kinds on the wire: one-letter tags keep full-mesh frames small.
-const char* kind_tag(graph::NodeKind k) {
-  switch (k) {
-    case graph::NodeKind::kRouter: return "r";
-    case graph::NodeKind::kSensor: return "s";
-    case graph::NodeKind::kUnidentified: return "u";
-    case graph::NodeKind::kLogical: return "l";
-  }
-  return "r";
-}
-
-std::optional<graph::NodeKind> kind_from_tag(const std::string& t) {
-  if (t == "r") return graph::NodeKind::kRouter;
-  if (t == "s") return graph::NodeKind::kSensor;
-  if (t == "u") return graph::NodeKind::kUnidentified;
-  if (t == "l") return graph::NodeKind::kLogical;
-  return std::nullopt;
-}
 
 bool set_error(std::string* error, const std::string& what) {
   if (error != nullptr && error->empty()) *error = what;
@@ -57,10 +39,6 @@ std::optional<std::uint64_t> require_uint(const Json& obj,
   }
   return n;
 }
-
-/// Largest link or router id a mesh may carry: the ids are 32-bit and
-/// the all-ones value is their "no id" sentinel.
-constexpr std::uint64_t kMaxMeshId = topo::LinkId::kInvalid - 1;
 
 }  // namespace
 
@@ -111,7 +89,7 @@ Json mesh_to_json(const probe::Mesh& mesh) {
     for (const auto& h : p.hops) {
       Json jh = Json::array();
       jh.push_back(Json::string(h.label));
-      jh.push_back(Json::string(kind_tag(h.kind)));
+      jh.push_back(Json::string(hop_kind_tag(h.kind)));
       jh.push_back(Json::integer(h.asn));
       jh.push_back(Json::integer(
           h.router.valid() ? static_cast<long long>(h.router.value()) : -1));
@@ -170,13 +148,18 @@ std::optional<probe::Mesh> mesh_from_json(const Json& j, std::string* error) {
       }
       probe::Hop h;
       h.label = jh[0].as_string();
-      const auto kind = kind_from_tag(jh[1].as_string());
+      const auto kind = hop_kind_from_tag(jh[1].as_string());
       if (!kind) {
         set_error(error, "unknown hop kind '" + jh[1].as_string() + "'");
         return std::nullopt;
       }
       h.kind = *kind;
-      h.asn = static_cast<int>(jh[2].as_int());
+      const auto asn = jh[2].as_int32();
+      if (!asn) {
+        set_error(error, "mesh hop asn must be an integer in int range");
+        return std::nullopt;
+      }
+      h.asn = *asn;
       if (const auto router = jh[3].as_uint(kMaxMeshId)) {
         h.router = topo::RouterId{static_cast<std::uint32_t>(*router)};
       } else if (jh[3].dump() != "-1") {  // mesh_to_json's "no router"
@@ -264,8 +247,13 @@ std::optional<core::ControlPlaneObs> cp_from_json(const Json& j,
       set_error(error, "cp.wd entries must be [directed_key, dest_asn]");
       return std::nullopt;
     }
-    cp.withdrawals.push_back(core::ControlPlaneObs::Withdrawal{
-        jw[0].as_string(), static_cast<int>(jw[1].as_int())});
+    const auto dest_asn = jw[1].as_int32();
+    if (!dest_asn) {
+      set_error(error, "cp.wd dest_asn must be an integer in int range");
+      return std::nullopt;
+    }
+    cp.withdrawals.push_back(
+        core::ControlPlaneObs::Withdrawal{jw[0].as_string(), *dest_asn});
   }
   return cp;
 }
@@ -330,108 +318,150 @@ bool trace_from_json(const Json& obj, std::optional<obs::TraceContext>* out,
 
 namespace {
 
-Json frame_header() {
-  Json j = Json::object();
-  j.set("v", Json::integer(kProtocolVersion));
-  return j;
+/// `,"name":` — the opening of every member after a frame's "v".
+void member(std::string& out, std::string_view name) {
+  out += ",\"";
+  out += name;
+  out += "\":";
+}
+
+void append_trace(std::string& out,
+                  const std::optional<obs::TraceContext>& trace) {
+  if (!trace.has_value()) return;
+  member(out, "trace");
+  trace_to_json(*trace).dump_to(out);
+}
+
+/// The mesh and optional cp an observe frame and a batch item share.
+void append_observation(std::string& out, const probe::Mesh& mesh,
+                        const std::optional<core::ControlPlaneObs>& cp) {
+  member(out, "mesh");
+  append_mesh(out, mesh);
+  if (!cp.has_value()) return;
+  member(out, "cp");
+  cp_to_json(*cp).dump_to(out);
 }
 
 }  // namespace
 
 std::string serialize(const Request& req) {
-  Json j = frame_header();
+  std::string out = "{\"v\":";
+  append_uint(out, kProtocolVersion);
   std::visit(
-      [&j](const auto& r) {
+      [&out](const auto& r) {
         using T = std::decay_t<decltype(r)>;
+        auto op = [&out](std::string_view name) {
+          member(out, "op");
+          append_string(out, name);
+        };
+        auto session = [&out](const std::string& name) {
+          member(out, "session");
+          append_string(out, name);
+        };
         if constexpr (std::is_same_v<T, HelloRequest>) {
-          j.set("op", Json::string("hello"));
-          j.set("session", Json::string(r.session));
-          j.set("config", session_config_to_json(r.config));
-          if (r.trace.has_value()) j.set("trace", trace_to_json(*r.trace));
+          op("hello");
+          session(r.session);
+          member(out, "config");
+          session_config_to_json(r.config).dump_to(out);
+          append_trace(out, r.trace);
         } else if constexpr (std::is_same_v<T, SetBaselineRequest>) {
-          j.set("op", Json::string("set_baseline"));
-          j.set("session", Json::string(r.session));
-          j.set("mesh", mesh_to_json(r.mesh));
-          if (r.trace.has_value()) j.set("trace", trace_to_json(*r.trace));
+          op("set_baseline");
+          session(r.session);
+          member(out, "mesh");
+          append_mesh(out, r.mesh);
+          append_trace(out, r.trace);
         } else if constexpr (std::is_same_v<T, ObserveRequest>) {
-          j.set("op", Json::string("observe"));
-          j.set("session", Json::string(r.session));
-          j.set("mesh", mesh_to_json(r.mesh));
-          if (r.cp.has_value()) j.set("cp", cp_to_json(*r.cp));
-          if (r.seq.has_value()) j.set("seq", Json::uinteger(*r.seq));
-          if (r.trace.has_value()) j.set("trace", trace_to_json(*r.trace));
-        } else if constexpr (std::is_same_v<T, ObserveBatchRequest>) {
-          j.set("op", Json::string("observe_batch"));
-          j.set("session", Json::string(r.session));
-          j.set("src", Json::string(r.src));
-          Json items = Json::array();
-          for (const auto& item : r.items) {
-            Json ji = Json::object();
-            ji.set("seq", Json::uinteger(item.seq));
-            ji.set("mesh", mesh_to_json(item.mesh));
-            if (item.cp.has_value()) ji.set("cp", cp_to_json(*item.cp));
-            if (item.trace.has_value()) {
-              ji.set("trace", trace_to_json(*item.trace));
-            }
-            items.push_back(std::move(ji));
+          op("observe");
+          session(r.session);
+          append_observation(out, r.mesh, r.cp);
+          if (r.seq.has_value()) {
+            member(out, "seq");
+            append_uint(out, *r.seq);
           }
-          j.set("items", std::move(items));
-          if (r.trace.has_value()) j.set("trace", trace_to_json(*r.trace));
+          append_trace(out, r.trace);
+        } else if constexpr (std::is_same_v<T, ObserveBatchRequest>) {
+          op("observe_batch");
+          session(r.session);
+          member(out, "src");
+          append_string(out, r.src);
+          member(out, "items");
+          out += '[';
+          for (std::size_t i = 0; i < r.items.size(); ++i) {
+            const ObserveItem& item = r.items[i];
+            out += i != 0 ? ",{\"seq\":" : "{\"seq\":";
+            append_uint(out, item.seq);
+            append_observation(out, item.mesh, item.cp);
+            append_trace(out, item.trace);
+            out += '}';
+          }
+          out += ']';
+          append_trace(out, r.trace);
         } else if constexpr (std::is_same_v<T, QueryRequest>) {
-          j.set("op", Json::string("query"));
-          j.set("session", Json::string(r.session));
-          if (r.trace.has_value()) j.set("trace", trace_to_json(*r.trace));
+          op("query");
+          session(r.session);
+          append_trace(out, r.trace);
         } else if constexpr (std::is_same_v<T, StatsRequest>) {
-          j.set("op", Json::string("stats"));
+          op("stats");
         } else if constexpr (std::is_same_v<T, MetricsRequest>) {
-          j.set("op", Json::string("metrics"));
+          op("metrics");
         } else if constexpr (std::is_same_v<T, EventsRequest>) {
-          j.set("op", Json::string("events"));
-          j.set("cursor", Json::uinteger(r.cursor));
-          j.set("cap", Json::uinteger(r.cap));
+          op("events");
+          member(out, "cursor");
+          append_uint(out, r.cursor);
+          member(out, "cap");
+          append_uint(out, r.cap);
         } else if constexpr (std::is_same_v<T, ShutdownRequest>) {
-          j.set("op", Json::string("shutdown"));
+          op("shutdown");
         }
       },
       req);
-  return j.dump();
+  out += '}';
+  return out;
 }
 
 namespace {
 
-std::optional<Json> parse_frame(std::string_view frame, std::string* error) {
-  if (frame.size() > kMaxFrameBytes) {
-    set_error(error, "frame exceeds " + std::to_string(kMaxFrameBytes) +
-                         " bytes");
-    return std::nullopt;
+bool frame_fits(std::string_view frame, std::string* error) {
+  return frame.size() <= kMaxFrameBytes ||
+         set_error(error, "frame exceeds " + std::to_string(kMaxFrameBytes) +
+                              " bytes");
+}
+
+/// What every request and response frame is: an object with "v":1.
+bool versioned_object(const Json& j, std::string* error) {
+  if (!j.is_object()) return set_error(error, "frame must be a JSON object");
+  const Json* v = j.find("v");
+  if (v == nullptr || v->as_uint() != std::uint64_t{kProtocolVersion}) {
+    return set_error(error, "field 'v' must be protocol version 1");
   }
-  auto j = Json::parse(frame, error);
-  if (!j) return std::nullopt;
-  if (!j->is_object()) {
-    set_error(error, "frame must be a JSON object");
-    return std::nullopt;
+  return true;
+}
+
+/// require(j, "mesh", Json::Type::kObject), for a typed mesh member.
+bool require_mesh(const MeshMember& mesh, std::string* error) {
+  switch (mesh.state) {
+    case MeshMember::State::kAbsent:
+      return set_error(error, "missing field 'mesh'");
+    case MeshMember::State::kNotObject:
+      return set_error(error, "field 'mesh' has wrong type");
+    default:
+      return true;
   }
-  const Json* v = j->find("v");
-  if (v == nullptr || !v->is_number() ||
-      v->as_int() != kProtocolVersion) {
-    set_error(error, "missing or unsupported protocol version");
-    return std::nullopt;
-  }
-  return j;
 }
 
 /// What an observe frame and a batch item share: the mesh, and optional
 /// cp, seq and trace. A seq must be >= 1 — watermarks start at 0, so a seq
 /// of 0 would always read as applied.
-bool observation_from_json(const Json& j, probe::Mesh* mesh,
-                           std::optional<core::ControlPlaneObs>* cp,
-                           std::optional<std::uint64_t>* seq,
-                           std::optional<obs::TraceContext>* trace,
-                           std::string* error) {
-  const Json* m = require(j, "mesh", Json::Type::kObject, error);
-  auto decoded = m != nullptr ? mesh_from_json(*m, error) : std::nullopt;
+bool observation_from_doc(MeshDoc& d, probe::Mesh* mesh,
+                          std::optional<core::ControlPlaneObs>* cp,
+                          std::optional<std::uint64_t>* seq,
+                          std::optional<obs::TraceContext>* trace,
+                          std::string* error) {
+  auto decoded =
+      require_mesh(d.mesh, error) ? d.mesh.take(error) : std::nullopt;
   if (!decoded) return false;
   *mesh = std::move(*decoded);
+  const Json& j = d.rest;
   if (const Json* c = j.find("cp"); c != nullptr) {
     *cp = cp_from_json(*c, error);
     if (!*cp) return false;
@@ -457,48 +487,57 @@ std::optional<std::string> get_session(const Json& j, std::string* error) {
 
 std::optional<Request> parse_request(std::string_view frame,
                                      std::string* error) {
-  const auto j = parse_frame(frame, error);
-  if (!j) return std::nullopt;
-  const Json* op = require(*j, "op", Json::Type::kString, error);
+  if (!frame_fits(frame, error)) return std::nullopt;
+  auto doc = parse_mesh_doc(frame, "mesh", /*items=*/true, error);
+  if (!doc || !versioned_object(doc->rest, error)) return std::nullopt;
+  const Json& j = doc->rest;
+  const Json* op = require(j, "op", Json::Type::kString, error);
   if (op == nullptr) return std::nullopt;
   const std::string& name = op->as_string();
 
   if (name == "hello") {
-    const auto session = get_session(*j, error);
-    const Json* cfg = require(*j, "config", Json::Type::kObject, error);
+    const auto session = get_session(j, error);
+    const Json* cfg = require(j, "config", Json::Type::kObject, error);
     if (!session || cfg == nullptr) return std::nullopt;
     const auto config = session_config_from_json(*cfg, error);
     if (!config) return std::nullopt;
     HelloRequest req{*session, *config, std::nullopt};
-    if (!trace_from_json(*j, &req.trace, error)) return std::nullopt;
+    if (!trace_from_json(j, &req.trace, error)) return std::nullopt;
     return Request{std::move(req)};
   }
   if (name == "set_baseline") {
-    const auto session = get_session(*j, error);
-    const Json* mesh = require(*j, "mesh", Json::Type::kObject, error);
-    if (!session || mesh == nullptr) return std::nullopt;
-    auto m = mesh_from_json(*mesh, error);
+    const auto session = get_session(j, error);
+    const bool has_mesh = require_mesh(doc->mesh, error);
+    if (!session || !has_mesh) return std::nullopt;
+    auto m = doc->mesh.take(error);
     if (!m) return std::nullopt;
     SetBaselineRequest req{*session, std::move(*m), std::nullopt};
-    if (!trace_from_json(*j, &req.trace, error)) return std::nullopt;
+    if (!trace_from_json(j, &req.trace, error)) return std::nullopt;
     return Request{std::move(req)};
   }
   if (name == "observe") {
-    const auto session = get_session(*j, error);
+    const auto session = get_session(j, error);
     if (!session) return std::nullopt;
     ObserveRequest req;
     req.session = *session;
-    if (!observation_from_json(*j, &req.mesh, &req.cp, &req.seq, &req.trace,
-                               error)) {
+    if (!observation_from_doc(*doc, &req.mesh, &req.cp, &req.seq, &req.trace,
+                              error)) {
       return std::nullopt;
     }
     return Request{std::move(req)};
   }
   if (name == "observe_batch") {
-    const auto session = get_session(*j, error);
-    const Json* src = require(*j, "src", Json::Type::kString, error);
-    const Json* items = require(*j, "items", Json::Type::kArray, error);
-    if (!session || src == nullptr || items == nullptr) return std::nullopt;
+    const auto session = get_session(j, error);
+    const Json* src = require(j, "src", Json::Type::kString, error);
+    if (doc->items_state == MeshDoc::Items::kAbsent) {
+      set_error(error, "missing field 'items'");
+    } else if (doc->items_state == MeshDoc::Items::kNotArray) {
+      set_error(error, "field 'items' has wrong type");
+    }
+    if (!session || src == nullptr ||
+        doc->items_state != MeshDoc::Items::kArray) {
+      return std::nullopt;
+    }
     if (src->as_string().empty()) {
       set_error(error, "src must not be empty");
       return std::nullopt;
@@ -506,19 +545,19 @@ std::optional<Request> parse_request(std::string_view frame,
     ObserveBatchRequest req;
     req.session = *session;
     req.src = src->as_string();
-    req.items.reserve(items->size());
+    req.items.reserve(doc->items.size());
     std::uint64_t prev_seq = 0;
-    for (std::size_t i = 0; i < items->size(); ++i) {
-      const Json& ji = (*items)[i];
-      if (!ji.is_object()) {
+    for (std::size_t i = 0; i < doc->items.size(); ++i) {
+      MeshDoc& ji = doc->items[i];
+      if (!ji.rest.is_object()) {
         set_error(error, "batch item " + std::to_string(i) +
                              " must be an object");
         return std::nullopt;
       }
       ObserveItem item;
       std::optional<std::uint64_t> seq;
-      if (!observation_from_json(ji, &item.mesh, &item.cp, &seq, &item.trace,
-                                 error)) {
+      if (!observation_from_doc(ji, &item.mesh, &item.cp, &seq, &item.trace,
+                                error)) {
         return std::nullopt;
       }
       // Present, strictly increasing seqs are the dedup contract; enforcing
@@ -531,21 +570,21 @@ std::optional<Request> parse_request(std::string_view frame,
       item.seq = prev_seq = *seq;
       req.items.push_back(std::move(item));
     }
-    if (!trace_from_json(*j, &req.trace, error)) return std::nullopt;
+    if (!trace_from_json(j, &req.trace, error)) return std::nullopt;
     return Request{std::move(req)};
   }
   if (name == "query") {
-    const auto session = get_session(*j, error);
+    const auto session = get_session(j, error);
     if (!session) return std::nullopt;
     QueryRequest req{*session, std::nullopt};
-    if (!trace_from_json(*j, &req.trace, error)) return std::nullopt;
+    if (!trace_from_json(j, &req.trace, error)) return std::nullopt;
     return Request{std::move(req)};
   }
   if (name == "stats") return Request{StatsRequest{}};
   if (name == "metrics") return Request{MetricsRequest{}};
   if (name == "events") {
-    const auto cursor = require_uint(*j, "cursor", error);
-    const auto cap = require_uint(*j, "cap", error);
+    const auto cursor = require_uint(j, "cursor", error);
+    const auto cap = require_uint(j, "cap", error);
     if (!cursor || !cap) return std::nullopt;
     EventsRequest req;
     req.cursor = *cursor;
@@ -561,7 +600,8 @@ std::optional<Request> parse_request(std::string_view frame,
 // Responses.
 
 std::string serialize(const Response& rsp) {
-  Json j = frame_header();
+  Json j = Json::object();
+  j.set("v", Json::integer(kProtocolVersion));
   std::visit(
       [&j](const auto& r) {
         using T = std::decay_t<decltype(r)>;
@@ -647,8 +687,9 @@ std::string serialize(const Response& rsp) {
 
 std::optional<Response> parse_response(std::string_view frame,
                                        std::string* error) {
-  const auto j = parse_frame(frame, error);
-  if (!j) return std::nullopt;
+  if (!frame_fits(frame, error)) return std::nullopt;
+  const auto j = Json::parse(frame, error);
+  if (!j || !versioned_object(*j, error)) return std::nullopt;
   const Json* ok = require(*j, "ok", Json::Type::kBool, error);
   if (ok == nullptr) return std::nullopt;
   if (!ok->as_bool()) {

@@ -29,11 +29,13 @@
 // absent; trace-less frames are byte-identical to protocol output from
 // before the field existed (golden-pinned).
 //
-// Serialization reuses the Json document type, so serialize(parse(x)) is
-// byte-identical for every message this module produced — the protocol
-// tests pin that property per message type. Embedded diagnosis documents
-// are spliced verbatim from core::to_json and survive round-trips
-// unchanged.
+// serialize(parse(x)) is byte-identical for every message this module
+// produced — the protocol tests pin that property per message type.
+// Request frames are written and read by the typed codec (svc/codec.h),
+// which carries meshes between bytes and probe::Mesh without a DOM;
+// responses and the small members (config, cp, trace) go through the
+// Json document type. Embedded diagnosis documents are spliced verbatim
+// from core::to_json and survive round-trips unchanged.
 #pragma once
 
 #include <cstddef>
@@ -282,6 +284,9 @@ using Response =
 // ---------------------------------------------------------------------------
 // Payload codecs, shared with the event-trace format.
 
+/// The mesh as a DOM, and back. The wire, the journal, traces and the
+/// agent spool read and write meshes with the typed codec (svc/codec.h);
+/// these two are its differential oracle.
 [[nodiscard]] Json mesh_to_json(const probe::Mesh& mesh);
 [[nodiscard]] std::optional<probe::Mesh> mesh_from_json(const Json& j,
                                                         std::string* error);

@@ -15,6 +15,7 @@
 #include "obs/events.h"
 #include "obs/registry.h"
 #include "obs/span.h"
+#include "svc/codec.h"
 
 namespace netd::svc {
 
@@ -442,45 +443,6 @@ std::shared_ptr<Server::Session> Server::find_session(
 
 namespace {
 
-// Journal record payloads: one compact JSON document per mutation,
-// carrying exactly the request fields the handler applied — replay feeds
-// them back through the same apply path, which is what makes a recovered
-// session byte-identical to the uninterrupted one.
-Json hello_record(const SessionConfig& cfg) {
-  Json j = Json::object();
-  j.set("t", Json::string("hello"));
-  j.set("config", session_config_to_json(cfg));
-  return j;
-}
-
-Json baseline_record(const probe::Mesh& mesh) {
-  Json j = Json::object();
-  j.set("t", Json::string("baseline"));
-  j.set("mesh", mesh_to_json(mesh));
-  return j;
-}
-
-Json obs_record(const probe::Mesh& mesh, const core::ControlPlaneObs* cp,
-                std::optional<std::uint64_t> seq) {
-  Json j = Json::object();
-  j.set("t", Json::string("obs"));
-  j.set("mesh", mesh_to_json(mesh));
-  if (cp != nullptr) j.set("cp", cp_to_json(*cp));
-  if (seq.has_value()) j.set("seq", Json::uinteger(*seq));
-  return j;
-}
-
-Json bobs_record(const std::string& src, std::uint64_t seq,
-                 const probe::Mesh& mesh, const core::ControlPlaneObs* cp) {
-  Json j = Json::object();
-  j.set("t", Json::string("bobs"));
-  j.set("src", Json::string(src));
-  j.set("seq", Json::uinteger(seq));
-  j.set("mesh", mesh_to_json(mesh));
-  if (cp != nullptr) j.set("cp", cp_to_json(*cp));
-  return j;
-}
-
 // Strict-enough field readers for documents only this process writes; a
 // failed read is corruption and quarantines the journal.
 const Json* get_obj(const Json& j, std::string_view key) {
@@ -536,9 +498,7 @@ Server::Ingested Server::ingest(Session& s, const std::string& src,
   // observed by the client. One record per applied batch item (not per
   // batch), so a crash mid-batch keeps exactly the applied prefix.
   if (s.journal != nullptr) {
-    journal_append(s, src == kObserveSrc
-                          ? obs_record(mesh, cp, seq)
-                          : bobs_record(src, seq.value_or(0), mesh, cp));
+    journal_append(s, observation_record(src, seq, mesh, cp));
   }
   return out;
 }
@@ -580,7 +540,9 @@ Json Server::snapshot_doc(const Session& s) {
   }
   j.set("src_acks", std::move(acks));
   if (s.ts.has_baseline()) {
-    j.set("baseline", mesh_to_json(s.ts.baseline()));
+    std::string baseline;
+    append_mesh(baseline, s.ts.baseline());
+    j.set("baseline", Json::raw(std::move(baseline)));
     const auto& det = s.ts.detector();
     Json fails = Json::array();
     for (const std::size_t f : det.consecutive_failures()) {
@@ -598,12 +560,12 @@ Json Server::snapshot_doc(const Session& s) {
   return j;
 }
 
-void Server::journal_append(Session& s, const Json& payload) {
+void Server::journal_append(Session& s, const std::string& payload) {
   // Ambient: nests under the handler's rx_* span, so a traced frame's
   // timeline shows how long the WAL write (and its fsync) took.
   obs::Span span("journal_append");
   std::string error;
-  if (s.journal->append(payload.dump(), &error) == 0) {
+  if (s.journal->append(payload, &error) == 0) {
     // Durability is best-effort once the disk misbehaves: the session
     // keeps serving from memory (agents see nothing), but a restart now
     // loses it — counted loudly instead of failing the request.
@@ -654,8 +616,10 @@ std::shared_ptr<Server::Session> Server::recover_one_session(
 
   std::shared_ptr<Session> s;
   if (journal->snapshot().has_value()) {
-    const auto doc = Json::parse(*journal->snapshot(), &error);
-    if (!doc || !doc->is_object()) return corrupt();
+    auto snap = parse_mesh_doc(*journal->snapshot(), "baseline",
+                               /*items=*/false, &error);
+    if (!snap || !snap->rest.is_object()) return corrupt();
+    const Json* doc = &snap->rest;
     s = session_from(*doc);
     const auto round = get_u64_field(*doc, "round");
     const auto diagnosis_round = get_u64_field(*doc, "diagnosis_round");
@@ -669,8 +633,8 @@ std::shared_ptr<Server::Session> Server::recover_one_session(
       if (!d->is_object()) return corrupt();
       s->diagnosis = d->dump();
     }
-    if (const Json* baseline = doc->find("baseline"); baseline != nullptr) {
-      auto mesh = mesh_from_json(*baseline, &error);
+    if (snap->mesh.state != MeshMember::State::kAbsent) {
+      auto mesh = snap->mesh.take(&error);
       const Json* det = get_obj(*doc, "detector");
       if (!mesh || det == nullptr) return corrupt();
       const Json* fails = det->find("fails");
@@ -697,8 +661,9 @@ std::shared_ptr<Server::Session> Server::recover_one_session(
 
   for (const auto& [lsn, payload] : journal->records()) {
     (void)lsn;
-    const auto rec = Json::parse(payload, &error);
-    if (!rec || !rec->is_object()) return corrupt();
+    auto doc = parse_mesh_doc(payload, "mesh", /*items=*/false, &error);
+    if (!doc || !doc->rest.is_object()) return corrupt();
+    const Json* rec = &doc->rest;
     const Json* t = rec->find("t");
     if (t == nullptr || !t->is_string()) return corrupt();
     const std::string& type = t->as_string();
@@ -716,9 +681,9 @@ std::shared_ptr<Server::Session> Server::recover_one_session(
     if (s == nullptr || !fold_watermarks(*rec, &s->src_acks)) {
       return corrupt();
     }
-    const Json* mesh_json = get_obj(*rec, "mesh");
-    auto mesh = mesh_json != nullptr ? mesh_from_json(*mesh_json, &error)
-                                     : std::nullopt;
+    auto mesh = doc->mesh.state == MeshMember::State::kAbsent
+                    ? std::nullopt
+                    : doc->mesh.take(&error);
     if (!mesh) return corrupt();
     if (type == "baseline") {
       set_baseline(*s, std::move(*mesh));

@@ -221,7 +221,7 @@ class Server {
   /// session to ephemeral — requests keep working, durability stops.
   /// Caller holds `s.mu` (or owns the session exclusively). Callers build
   /// the record only for a journaled session.
-  void journal_append(Session& s, const Json& payload);
+  void journal_append(Session& s, const std::string& payload);
   /// The session's full state as a snapshot document covering every
   /// journaled record up to the journal's last LSN.
   [[nodiscard]] static Json snapshot_doc(const Session& s);

@@ -327,17 +327,20 @@ LineReader::Status LineReader::read_line(std::string* out) {
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(timeout_ms_);
   while (true) {
-    const auto nl = buf_.find('\n');
+    // Bytes before scanned_ hold no newline, so each received byte is
+    // searched once, however many chunks a frame spans.
+    const auto nl = buf_.find('\n', scanned_);
     if (nl != std::string::npos) {
       // A complete line beyond the cap is just as oversized as an
       // unterminated one — it must not reach the parser.
-      if (nl > max_) return Status::kOversize;
-      out->assign(buf_, 0, nl);
-      buf_.erase(0, nl + 1);
+      if (nl - start_ > max_) return Status::kOversize;
+      out->assign(buf_, start_, nl - start_);
+      start_ = scanned_ = nl + 1;
       return Status::kLine;
     }
-    if (buf_.size() > max_) return Status::kOversize;
-    if (eof_) return buf_.empty() ? Status::kEof : Status::kError;
+    scanned_ = buf_.size();
+    if (buf_.size() - start_ > max_) return Status::kOversize;
+    if (eof_) return buf_.size() == start_ ? Status::kEof : Status::kError;
     if (has_deadline) {
       // The timeout is a budget for the whole frame: trickling bytes do
       // not extend it, so drip-feeding peers still hit the deadline.
@@ -345,6 +348,13 @@ LineReader::Status LineReader::read_line(std::string* out) {
       const int rc = left == 0 ? 0 : poll_fd(fd_, POLLIN, left);
       if (rc == 0) return Status::kTimeout;
       if (rc < 0) return Status::kError;
+    }
+    if (start_ != 0) {
+      // Lines already returned are dropped once per receive, not once per
+      // line; what moves is the unfinished tail of one chunk.
+      buf_.erase(0, start_);
+      scanned_ -= start_;
+      start_ = 0;
     }
     char chunk[16384];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);

@@ -100,6 +100,8 @@ class LineReader {
   std::size_t max_;
   int timeout_ms_ = -1;
   std::string buf_;
+  std::size_t start_ = 0;    ///< where the next line starts in buf_
+  std::size_t scanned_ = 0;  ///< buf_ before this holds no unread '\n'
   bool eof_ = false;
 };
 

@@ -5,16 +5,50 @@
 #include <ostream>
 
 #include "core/json_export.h"
+#include "svc/codec.h"
 
 namespace netd::svc {
 
 namespace {
 
-Json record_header(const char* type) {
-  Json j = Json::object();
-  j.set("v", Json::integer(kProtocolVersion));
-  j.set("type", Json::string(type));
-  return j;
+/// `{"v":1,"type":"<type>"` — every line's opening; the caller closes it.
+std::string line_header(const char* type) {
+  std::string out = "{\"v\":";
+  append_uint(out, kProtocolVersion);
+  out += ",\"type\":";
+  append_string(out, type);
+  return out;
+}
+
+std::string config_line(const SessionConfig& config) {
+  std::string out = line_header("config");
+  out += ",\"config\":";
+  session_config_to_json(config).dump_to(out);
+  out += '}';
+  return out;
+}
+
+std::string mesh_line(const char* type, const probe::Mesh& mesh,
+                      const core::ControlPlaneObs* cp) {
+  std::string out = line_header(type);
+  out += ",\"mesh\":";
+  append_mesh(out, mesh);
+  if (cp != nullptr) {
+    out += ",\"cp\":";
+    cp_to_json(*cp).dump_to(out);
+  }
+  out += '}';
+  return out;
+}
+
+std::string diagnosis_line(std::size_t round, std::string_view doc) {
+  std::string out = line_header("diagnosis");
+  out += ",\"round\":";
+  append_uint(out, round);
+  out += ",\"diagnosis\":";
+  out += doc;
+  out += '}';
+  return out;
 }
 
 }  // namespace
@@ -22,26 +56,18 @@ Json record_header(const char* type) {
 TraceRecorder::TraceRecorder(std::ostream& os, const SessionConfig& config,
                              bool emit_config)
     : os_(os) {
-  if (!emit_config) return;
-  Json j = record_header("config");
-  j.set("config", session_config_to_json(config));
-  os_ << j.dump() << "\n";
+  if (emit_config) os_ << config_line(config) << "\n";
 }
 
 void TraceRecorder::baseline(const probe::Mesh& mesh) {
   round_ = 0;
-  Json j = record_header("baseline");
-  j.set("mesh", mesh_to_json(mesh));
-  os_ << j.dump() << "\n";
+  os_ << mesh_line("baseline", mesh, nullptr) << "\n";
 }
 
 void TraceRecorder::round(const probe::Mesh& mesh,
                           const core::ControlPlaneObs* cp) {
   ++round_;
-  Json j = record_header("round");
-  j.set("mesh", mesh_to_json(mesh));
-  if (cp != nullptr) j.set("cp", cp_to_json(*cp));
-  os_ << j.dump() << "\n";
+  os_ << mesh_line("round", mesh, cp) << "\n";
 }
 
 void TraceRecorder::diagnosis(const core::AlgorithmOutput& out) {
@@ -49,10 +75,79 @@ void TraceRecorder::diagnosis(const core::AlgorithmOutput& out) {
 }
 
 void TraceRecorder::diagnosis_text(const std::string& doc) {
-  Json j = record_header("diagnosis");
-  j.set("round", Json::uinteger(round_));
-  j.set("diagnosis", Json::raw(doc));
-  os_ << j.dump() << "\n";
+  os_ << diagnosis_line(round_, doc) << "\n";
+}
+
+std::string trace_line(const TraceRecord& rec) {
+  switch (rec.type) {
+    case TraceRecord::Type::kConfig:
+      return config_line(rec.config);
+    case TraceRecord::Type::kBaseline:
+      return mesh_line("baseline", rec.mesh, nullptr);
+    case TraceRecord::Type::kRound:
+      return mesh_line("round", rec.mesh, rec.cp ? &*rec.cp : nullptr);
+    case TraceRecord::Type::kDiagnosis:
+      return diagnosis_line(rec.round, rec.diagnosis);
+  }
+  return "";
+}
+
+std::optional<TraceRecord> parse_trace_line(std::string_view line,
+                                            std::string* error) {
+  auto fail = [error](std::string what) {
+    if (error != nullptr) *error = std::move(what);
+    return std::nullopt;
+  };
+  std::string why;
+  auto doc = parse_mesh_doc(line, "mesh", /*items=*/false, &why);
+  if (!doc) return fail(why);
+  const Json& j = doc->rest;
+  if (!j.is_object()) return fail("not a JSON object");
+  const Json* v = j.find("v");
+  if (v == nullptr || v->as_uint() != std::uint64_t{kProtocolVersion}) {
+    return fail("field 'v' must be trace version 1");
+  }
+  const Json* type = j.find("type");
+  if (type == nullptr || !type->is_string()) {
+    return fail("missing record type");
+  }
+  const std::string& name = type->as_string();
+  TraceRecord rec;
+  if (name == "config") {
+    const Json* cfg = j.find("config");
+    if (cfg == nullptr) return fail("missing config");
+    auto parsed = session_config_from_json(*cfg, &why);
+    if (!parsed) return fail(why);
+    rec.type = TraceRecord::Type::kConfig;
+    rec.config = std::move(*parsed);
+  } else if (name == "baseline" || name == "round") {
+    if (doc->mesh.state == MeshMember::State::kAbsent) {
+      return fail("missing mesh");
+    }
+    auto parsed = doc->mesh.take(&why);
+    if (!parsed) return fail(why);
+    rec.mesh = std::move(*parsed);
+    rec.type = name == "baseline" ? TraceRecord::Type::kBaseline
+                                  : TraceRecord::Type::kRound;
+    if (const Json* cp = j.find("cp"); cp != nullptr && name == "round") {
+      auto obs = cp_from_json(*cp, &why);
+      if (!obs) return fail(why);
+      rec.cp = std::move(*obs);
+    }
+  } else if (name == "diagnosis") {
+    const Json* round = j.find("round");
+    const Json* diagnosis = j.find("diagnosis");
+    if (round == nullptr || !round->is_number() || diagnosis == nullptr ||
+        !diagnosis->is_object()) {
+      return fail("diagnosis needs round + diagnosis object");
+    }
+    rec.type = TraceRecord::Type::kDiagnosis;
+    rec.round = round->as_uint().value_or(0);  // read_trace checks it
+    rec.diagnosis = diagnosis->dump();
+  } else {
+    return fail("unknown record type '" + name + "'");
+  }
+  return rec;
 }
 
 std::optional<std::vector<TraceRecord>> read_trace(std::istream& is,
@@ -73,78 +168,41 @@ std::optional<std::vector<TraceRecord>> read_trace(std::istream& is,
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) continue;
-    std::string parse_error;
-    const auto j = Json::parse(line, &parse_error);
-    if (!j || !j->is_object()) {
-      return fail(line_no, parse_error.empty() ? "not a JSON object"
-                                               : parse_error);
-    }
-    const Json* v = j->find("v");
-    if (v == nullptr || !v->is_number() || v->as_int() != kProtocolVersion) {
-      return fail(line_no, "missing or unsupported version");
-    }
-    const Json* type = j->find("type");
-    if (type == nullptr || !type->is_string()) {
-      return fail(line_no, "missing record type");
-    }
-    const std::string& name = type->as_string();
-    TraceRecord rec;
-    if (name == "config") {
-      if (!out.empty()) return fail(line_no, "config must be the first record");
-      const Json* cfg = j->find("config");
-      if (cfg == nullptr) return fail(line_no, "missing config");
-      auto parsed = session_config_from_json(*cfg, &parse_error);
-      if (!parsed) return fail(line_no, parse_error);
-      rec.type = TraceRecord::Type::kConfig;
-      rec.config = std::move(*parsed);
-    } else if (name == "baseline" || name == "round") {
-      if (out.empty()) return fail(line_no, "config record must come first");
-      const Json* mesh = j->find("mesh");
-      if (mesh == nullptr) return fail(line_no, "missing mesh");
-      auto parsed = mesh_from_json(*mesh, &parse_error);
-      if (!parsed) return fail(line_no, parse_error);
-      rec.mesh = std::move(*parsed);
-      if (name == "baseline") {
-        rec.type = TraceRecord::Type::kBaseline;
+    std::string why;
+    auto rec = parse_trace_line(line, &why);
+    if (!rec) return fail(line_no, why);
+    switch (rec->type) {
+      case TraceRecord::Type::kConfig:
+        if (!out.empty()) {
+          return fail(line_no, "config must be the first record");
+        }
+        break;
+      case TraceRecord::Type::kBaseline:
+        if (out.empty()) return fail(line_no, "config record must come first");
         have_baseline = true;
         baseline_at = out.size();
         round_in_episode = 0;
-      } else {
+        break;
+      case TraceRecord::Type::kRound:
+        if (out.empty()) return fail(line_no, "config record must come first");
         if (!have_baseline) return fail(line_no, "round before baseline");
         // A healthy round becomes the troubleshooter's baseline, so every
         // round of an episode must fit the episode's baseline record.
-        if (!round_fits_baseline(out[baseline_at].mesh, rec.mesh,
-                                 &parse_error)) {
-          return fail(line_no, parse_error);
+        if (!round_fits_baseline(out[baseline_at].mesh, rec->mesh, &why)) {
+          return fail(line_no, why);
         }
-        rec.type = TraceRecord::Type::kRound;
         ++round_in_episode;
-        if (const Json* cp = j->find("cp"); cp != nullptr) {
-          auto obs = cp_from_json(*cp, &parse_error);
-          if (!obs) return fail(line_no, parse_error);
-          rec.cp = std::move(*obs);
+        break;
+      case TraceRecord::Type::kDiagnosis:
+        if (round_in_episode == 0) {
+          return fail(line_no, "diagnosis before any round");
         }
-      }
-    } else if (name == "diagnosis") {
-      if (round_in_episode == 0) {
-        return fail(line_no, "diagnosis before any round");
-      }
-      const Json* round = j->find("round");
-      const Json* doc = j->find("diagnosis");
-      if (round == nullptr || !round->is_number() || doc == nullptr ||
-          !doc->is_object()) {
-        return fail(line_no, "diagnosis needs round + diagnosis object");
-      }
-      if (round->as_uint() != round_in_episode) {
-        return fail(line_no, "diagnosis round does not match the stream");
-      }
-      rec.type = TraceRecord::Type::kDiagnosis;
-      rec.round = round_in_episode;
-      rec.diagnosis = doc->dump();
-    } else {
-      return fail(line_no, "unknown record type '" + name + "'");
+        if (rec->round != round_in_episode) {
+          return fail(line_no, "diagnosis round does not match the stream");
+        }
+        break;
     }
-    out.push_back(std::move(rec));
+    out.push_back(std::move(*rec));
   }
   if (out.empty()) return fail(0, "empty trace");
   if (out.front().type != TraceRecord::Type::kConfig) {

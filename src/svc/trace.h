@@ -23,6 +23,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "svc/client.h"
@@ -62,6 +63,17 @@ class TraceRecorder {
   std::ostream& os_;
   std::size_t round_ = 0;
 };
+
+/// One record as a trace line, as TraceRecorder writes it (without the
+/// newline).
+[[nodiscard]] std::string trace_line(const TraceRecord& rec);
+
+/// One trace line on its own: std::nullopt (with `error`) on malformed
+/// JSON, a version other than 1, or a record whose fields do not decode.
+/// A diagnosis record's `round` is what the line says (0 when it is not
+/// an unsigned integer); read_trace checks it against the stream.
+[[nodiscard]] std::optional<TraceRecord> parse_trace_line(
+    std::string_view line, std::string* error);
 
 /// Parses a whole trace. std::nullopt (with `error` naming the line) on
 /// malformed input or a structurally invalid stream (no leading config,

@@ -306,6 +306,65 @@ TEST(Protocol, UnsignedFieldsAreDigitsOnlyAndRangeChecked) {
   EXPECT_EQ(std::get<ObserveRequest>(*parsed).seq, UINT64_MAX);
 }
 
+TEST(Protocol, AsNumbersAndTheVersionAreStrictIntegers) {
+  const std::string good = serialize(
+      Request{ObserveRequest{"s", sample_mesh(), sample_cp(), 3}});
+  auto with = [&](const std::string& from, const std::string& to) {
+    std::string frame = good;
+    const auto at = frame.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    frame.replace(at, from.size(), to);
+    return frame;
+  };
+  std::string error;
+  ASSERT_TRUE(parse_request(good, &error).has_value()) << error;
+  // A hop's AS: a cast would read 4294967300 as AS 4 and 4.7 as AS 4,
+  // blaming another AS.
+  for (const std::string asn : {"4294967300", "4.7", "2147483648",
+                                "-2147483649", "1e0", "0.0"}) {
+    error.clear();
+    EXPECT_FALSE(
+        parse_request(with(R"("r",0,7])", R"("r",)" + asn + ",7]"), &error)
+            .has_value())
+        << asn;
+    EXPECT_NE(error.find("asn"), std::string::npos) << asn << ": " << error;
+  }
+  // A withdrawal's destination AS, likewise (4294967301 read as AS 5).
+  for (const std::string asn : {"4294967301", "5.0", "-2147483649"}) {
+    error.clear();
+    EXPECT_FALSE(parse_request(with(R"("AS3>AS4",5])",
+                                    R"("AS3>AS4",)" + asn + "]"),
+                               &error)
+                     .has_value())
+        << asn;
+    EXPECT_NE(error.find("dest_asn"), std::string::npos) << asn << ": "
+                                                         << error;
+  }
+  // The int range's ends are AS numbers like any other.
+  for (const std::string asn : {"2147483647", "-2147483648"}) {
+    const auto parsed =
+        parse_request(with(R"("r",0,7])", R"("r",)" + asn + ",7]"), &error);
+    ASSERT_TRUE(parsed.has_value()) << asn << ": " << error;
+    EXPECT_EQ(std::to_string(
+                  std::get<ObserveRequest>(*parsed).mesh.paths[0].hops[1].asn),
+              asn);
+  }
+  // The version is exactly 1, in requests and in responses.
+  const std::string rsp = serialize(Response{QueryResponse{0, std::nullopt}});
+  for (const std::string v : {"1.9", "1e0", "1.0", "-1", "\"1\""}) {
+    error.clear();
+    EXPECT_FALSE(parse_request(with(R"("v":1)", R"("v":)" + v), &error)
+                     .has_value())
+        << v;
+    EXPECT_NE(error.find("'v'"), std::string::npos) << v << ": " << error;
+    std::string frame = rsp;
+    frame.replace(frame.find(R"("v":1)"), 5, R"("v":)" + v);
+    error.clear();
+    EXPECT_FALSE(parse_response(frame, &error).has_value()) << v;
+    EXPECT_FALSE(error.empty()) << v;
+  }
+}
+
 TEST(Protocol, ParseResponseRejectsHostileFrames) {
   for (const std::string& bad : std::vector<std::string>{
            std::string(""),

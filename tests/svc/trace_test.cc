@@ -119,6 +119,26 @@ TEST(Trace, RejectsStructurallyInvalidStreams) {
        "unsupported version"},
       {episode(p01), "round narrower than its baseline"},
       {episode(p10 + "," + p01), "round pairs out of the baseline's order"},
+      // The version is exactly 1, and AS numbers are ints, not whatever
+      // a cast of a fraction or a 64-bit value leaves.
+      {R"({"v":1.5,"type":"config","config":)"
+       R"({"threshold":1,"algo":"nd-bgpigp","granularity":"per-neighbor"}})"
+       "\n",
+       "fractional version"},
+      {config + "\n" + R"({"v":1e0,"type":"baseline",)" + mesh + "}\n",
+       "exponent version"},
+      {config + "\n" + R"({"v":1,"type":"baseline","mesh":{"paths":[)" +
+           R"({"src":0,"dst":1,"ok":true,"hops":[["s0","s",4294967300,-1]],)" +
+           R"("links":[]}]}})" + "\n",
+       "hop asn past 32 bits"},
+      {config + "\n" + R"({"v":1,"type":"baseline","mesh":{"paths":[)" +
+           R"({"src":0,"dst":1,"ok":true,"hops":[["s0","s",4.7,-1]],)" +
+           R"("links":[]}]}})" + "\n",
+       "fractional hop asn"},
+      {episode(p01 + "," + p10) +
+           R"({"v":1,"type":"round","mesh":{"paths":[)" + p01 + "," + p10 +
+           R"(]},"cp":{"igp":[],"wd":[["AS1>AS2",4294967301]]}})" + "\n",
+       "withdrawal dest_asn past 32 bits"},
   };
   for (const auto& c : cases) {
     std::istringstream is(c.text);
