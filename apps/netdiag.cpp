@@ -934,9 +934,9 @@ int cmd_submit(util::Flags& flags) {
     scfg.alarm_threshold = flags.get_uint("threshold", scfg.alarm_threshold);
     scfg.algo = flags.get("algo", scfg.algo);
     scfg.granularity = flags.get("granularity", scfg.granularity);
-    req = svc::HelloRequest{session, std::move(scfg)};
+    req = svc::HelloRequest{session, std::move(scfg), std::nullopt};
   } else if (op == "query") {
-    req = svc::QueryRequest{session};
+    req = svc::QueryRequest{session, std::nullopt};
   } else if (op == "stats") {
     req = svc::StatsRequest{};
   } else if (op == "metrics") {

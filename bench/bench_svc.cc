@@ -11,6 +11,11 @@
 //   svc_replay_in_process  trace -> fresh Troubleshooter, no socket
 //   svc_replay_socket      the same replay through a live unix-socket
 //                          server via svc::Client
+//   log_tail_read          util::SegmentLog::for_each(last_seq() - 1), the
+//                          agent's read of its newest spooled round, over
+//                          24 KB records with 1 and with 160 records in the
+//                          segment; `fill_ratio` is t160 / t1, and a read
+//                          that costs what it delivers keeps it near 1
 // The in-process/socket pair bounds the protocol + dispatch overhead per
 // observation round. Emits the usual ND_PERF_JSON records.
 #include <algorithm>
@@ -22,6 +27,7 @@
 #include <sstream>
 #include <string>
 #include <vector>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common.h"
@@ -34,6 +40,7 @@
 #include "svc/server.h"
 #include "svc/socket.h"
 #include "svc/trace.h"
+#include "util/segment_log.h"
 
 using namespace netd;
 
@@ -104,6 +111,64 @@ std::string dom_reencode(const std::string& line) {
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
+}
+
+/// The log_tail_read row: the median read of the newest 24 KB record out
+/// of one segment holding 1 record and out of one holding 160 (3.75 MiB,
+/// below the 4 MiB rotation), the two reads taking turns.
+bool log_tail_read(const exp::ScenarioConfig& cfg) {
+  constexpr std::size_t kPayloadBytes = 24 << 10;
+  constexpr std::uint64_t kFills[] = {1, 160};
+  constexpr int kReads = 101;
+  const std::string payload(kPayloadBytes, 'r');
+  const std::string base = "/tmp/bench_svc_log." + std::to_string(::getpid());
+  std::string error;
+  std::vector<std::unique_ptr<util::SegmentLog>> logs;
+  for (const std::uint64_t fill : kFills) {
+    const std::string dir = base + "." + std::to_string(fill);
+    ::mkdir(dir.c_str(), 0755);
+    auto log = util::SegmentLog::open({dir, "seg-", ".log"}, {}, 0, nullptr,
+                                      &error);
+    for (std::uint64_t i = 0; log != nullptr && i < fill; ++i) {
+      if (log->append(payload, &error) == 0) log.reset();
+    }
+    if (log == nullptr || log->segments().size() != 1) {
+      std::cerr << "log_tail_read setup failed: " << error << "\n";
+      return false;
+    }
+    logs.push_back(std::move(log));
+  }
+  std::vector<double> us[2];
+  for (int i = 0; i < kReads; ++i) {
+    for (std::size_t k = 0; k < logs.size(); ++k) {
+      std::size_t got = 0;
+      Timer t;
+      const bool ok = logs[k]->for_each(
+          logs[k]->last_seq() - 1,
+          [&](std::uint64_t, std::string_view p) {
+            got += p.size();
+            return true;
+          },
+          &error);
+      us[k].push_back(t.ms() * 1000.0);
+      if (!ok || got != kPayloadBytes) {
+        std::cerr << "log_tail_read failed: " << error << "\n";
+        return false;
+      }
+    }
+  }
+  logs.clear();
+  const std::string cleanup = "rm -rf '" + base + "'.*";
+  if (std::system(cleanup.c_str()) != 0) std::cerr << "log cleanup failed\n";
+  const double t1 = median(us[0]);
+  const double t160 = median(us[1]);
+  std::ostringstream extra;
+  extra << ",\"t1_us\":" << t1 << ",\"t160_us\":" << t160
+        << ",\"fill_ratio\":" << t160 / t1;
+  perf("log_tail_read", t160 / 1000.0, 1, cfg, extra.str());
+  std::cout << "  newest-record read: " << t1 << " us with 1 record, " << t160
+            << " us with 160 (" << t160 / t1 << "x)\n";
+  return true;
 }
 
 }  // namespace
@@ -330,6 +395,8 @@ int main() {
     }
   }
 
+  if (!log_tail_read(cfg)) return 1;
+
   if (trace_on) {
     std::cout << "  tracing: " << obs::TraceSink::snapshot().size()
               << " spans recorded, "
@@ -342,6 +409,8 @@ int main() {
                " per round. The resilient variant (deadlines + retry"
                " stamping, no faults) should sit on top of svc_replay_socket"
                " within noise. Durable replay adds the journal write per"
-               " round (kBatch) or a full fsync per round (kAlways).\n";
+               " round (kBatch) or a full fsync per round (kAlways). Reading"
+               " the newest spooled record costs the same at any segment"
+               " fill (fill_ratio near 1).\n";
   return 0;
 }

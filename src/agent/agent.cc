@@ -324,7 +324,7 @@ bool Agent::ship(Spool& spool, std::string* error, bool* fatal) {
     }
 
     // Watermark probe (empty batch) or a real drain batch.
-    svc::ObserveBatchRequest req{cfg_.session, cfg_.name, {}};
+    svc::ObserveBatchRequest req{cfg_.session, cfg_.name, {}, std::nullopt};
     if (have_ack && ack < target) {
       std::string serror;
       bool parse_failed = false;
@@ -411,8 +411,8 @@ bool Agent::ship(Spool& spool, std::string* error, bool* fatal) {
   // previous incarnation's batch.
   if (!summary_.diagnosis.has_value()) {
     std::string qerror;
-    auto rsp =
-        client->call(svc::Request{svc::QueryRequest{cfg_.session}}, &qerror);
+    auto rsp = client->call(
+        svc::Request{svc::QueryRequest{cfg_.session, std::nullopt}}, &qerror);
     if (rsp.has_value()) {
       if (const auto* q = std::get_if<svc::QueryResponse>(&*rsp)) {
         summary_.diagnosis = q->diagnosis;

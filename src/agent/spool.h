@@ -122,9 +122,13 @@ class Spool {
   [[nodiscard]] bool mark_shipped(std::uint64_t upto, std::string* error);
 
   /// Streams every record with seq > `from`, oldest first. `fn` returns
-  /// false to stop early. Returns false with `error` on read failure —
-  /// segments were validated at open() and all later writes are our own,
-  /// so a record that no longer verifies means the disk changed under us.
+  /// false to stop early. Reads only the records it hands over (see
+  /// util::SegmentLog::read), so a batch costs its records, not the
+  /// segment's fill. Each is verified first; returns false with `error`
+  /// on a read failure — segments were validated at open() and all later
+  /// writes are our own, so a record that no longer verifies means the
+  /// disk changed under us. Damage in records it does not hand over is
+  /// left for the next open() to judge.
   [[nodiscard]] bool for_each(
       std::uint64_t from,
       const std::function<bool(std::uint64_t seq, std::string_view payload)>&

@@ -324,7 +324,8 @@ ReplayResult replay_through(Client& client, const std::string& session,
   std::string error;
   HelloResponse hello;
   if (!expect_response(
-          client.call(Request{HelloRequest{session, trace.front().config}},
+          client.call(Request{HelloRequest{session, trace.front().config,
+                                          std::nullopt}},
                       &error),
           &hello, &error)) {
     result.mismatches.push_back("hello failed: " + error);
@@ -341,7 +342,8 @@ ReplayResult replay_through(Client& client, const std::string& session,
         error.clear();
         SetBaselineResponse rsp;
         if (!expect_response(
-                client.call(Request{SetBaselineRequest{session, rec.mesh}},
+                client.call(Request{SetBaselineRequest{session, rec.mesh,
+                                                     std::nullopt}},
                             &error),
                 &rsp, &error)) {
           result.mismatches.push_back("set_baseline failed: " + error);

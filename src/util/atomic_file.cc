@@ -39,6 +39,22 @@ bool write_all_fd(int fd, const char* data, std::size_t len) {
   return true;
 }
 
+std::optional<std::size_t> pread_all(int fd, char* data, std::size_t len,
+                                     std::uint64_t offset) {
+  std::size_t got = 0;
+  while (got < len) {
+    const ssize_t n = ::pread(fd, data + got, len - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return std::nullopt;
+    }
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  return got;
+}
+
 bool atomic_write_file(const std::string& path, const std::string& contents,
                        std::string* error) {
   // The temp name carries the pid so two writers cannot collide; the loser

@@ -20,6 +20,12 @@ namespace netd::util {
 /// a partial write behind.
 [[nodiscard]] bool write_all_fd(int fd, const char* data, std::size_t len);
 
+/// EINTR-safe pread(2) of `len` bytes at `offset`: the bytes read, fewer
+/// only at end of file; std::nullopt on a read error.
+[[nodiscard]] std::optional<std::size_t> pread_all(int fd, char* data,
+                                                   std::size_t len,
+                                                   std::uint64_t offset);
+
 /// Atomically replaces `path` with `contents`. Writes `path` + a unique
 /// suffix, fsyncs, renames over `path`, then fsyncs the parent directory
 /// so the rename itself is durable. False (with `error`) on any failure;

@@ -31,7 +31,8 @@
 namespace netd::util {
 
 /// CRC32 (IEEE 802.3, reflected, init/final 0xffffffff) — the framing
-/// checksum. Chain calls by passing the previous return value as `seed`.
+/// checksum, computed slicing-by-8 (eight input bytes per step). Chain
+/// calls by passing the previous return value as `seed`.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t len,
                                   std::uint32_t seed = 0);
 

@@ -24,6 +24,46 @@ bool fail(std::string* error, const std::string& what) {
   return false;
 }
 
+/// read()'s walk over one segment: the indexed records from `first` on,
+/// one pread(2) and one check each. Sets `stopped` when `fn` stops.
+bool read_segment(const SegmentLog::Segment& seg,
+                  std::vector<SegmentLog::IndexEntry>::const_iterator first,
+                  const record_log::RecordFn& fn, bool* stopped,
+                  std::string* error) {
+  const int fd = ::open(seg.path.c_str(), O_RDONLY);
+  if (fd < 0) return fail(error, "open " + seg.path);
+  bool ok = true;
+  std::string record;
+  for (auto it = first; !*stopped && it != seg.index.end(); ++it) {
+    const std::uint64_t end =
+        it + 1 != seg.index.end() ? (it + 1)->offset : seg.scan.good_bytes;
+    record.resize(end - it->offset);
+    const auto got = pread_all(fd, record.data(), record.size(), it->offset);
+    if (!got.has_value()) {
+      ok = fail(error, "read " + seg.path);
+      break;
+    }
+    // Exactly one record fills the extent (a short read cannot), and it
+    // is the indexed one.
+    const record_log::Scan one =
+        record_log::scan(std::string_view(record).substr(0, *got));
+    if (one.records != 1 || one.good_bytes != record.size() ||
+        one.first_seq != it->seq) {
+      if (error != nullptr) {
+        *error = "segment changed on disk: the record at offset " +
+                 std::to_string(it->offset) + " of " + seg.path +
+                 " no longer verifies";
+      }
+      ok = false;
+      break;
+    }
+    *stopped = !fn(it->seq, std::string_view(record).substr(
+                                record_log::kHeaderBytes));
+  }
+  ::close(fd);
+  return ok;
+}
+
 }  // namespace
 
 bool SegmentLog::list(const Options& opts, Listing* out, std::string* error) {
@@ -43,10 +83,16 @@ bool SegmentLog::list(const Options& opts, Listing* out, std::string* error) {
   ::closedir(d);
   std::sort(names.begin(), names.end());
   for (std::size_t i = 0; i < names.size(); ++i) {
-    Segment seg{opts.dir + "/" + names[i], {}};
+    Segment seg{opts.dir + "/" + names[i], {}, {}};
     const auto bytes = read_file(seg.path, error);
     if (!bytes.has_value()) return false;
-    seg.scan = record_log::scan(*bytes);
+    std::uint64_t offset = 0;
+    seg.scan = record_log::scan(
+        *bytes, [&](std::uint64_t seq, std::string_view payload) {
+          seg.index.push_back({seq, offset});
+          offset += record_log::kHeaderBytes + payload.size();
+          return true;
+        });
     // Only the newest segment can end in the append a crash cut short;
     // a torn record anywhere else is damage.
     if (seg.scan.verdict == Verdict::kTornTail && i + 1 < names.size()) {
@@ -110,24 +156,12 @@ bool SegmentLog::read(const std::vector<Segment>& segments,
                       std::string* error) {
   bool stopped = false;
   for (const Segment& seg : segments) {
-    if (seg.scan.last_seq <= from) continue;
-    const auto bytes = read_file(seg.path, error);
-    if (!bytes.has_value()) return false;
-    const record_log::Scan walk = record_log::scan(
-        std::string_view(*bytes).substr(0, seg.scan.good_bytes),
-        [&](std::uint64_t seq, std::string_view payload) {
-          if (seq > from) stopped = !fn(seq, payload);
-          return !stopped;
-        });
+    const auto first = std::upper_bound(
+        seg.index.begin(), seg.index.end(), from,
+        [](std::uint64_t seq, const IndexEntry& e) { return seq < e.seq; });
+    if (first == seg.index.end()) continue;
+    if (!read_segment(seg, first, fn, &stopped, error)) return false;
     if (stopped) return true;
-    if (walk.good_bytes != seg.scan.good_bytes) {
-      if (error != nullptr) {
-        *error = "segment changed on disk: the record at offset " +
-                 std::to_string(walk.good_bytes) + " of " + seg.path +
-                 " no longer verifies";
-      }
-      return false;
-    }
   }
   return true;
 }
@@ -156,7 +190,7 @@ std::uint64_t SegmentLog::append(std::string_view payload,
     std::snprintf(name, sizeof(name), "%020llu",
                   static_cast<unsigned long long>(next_seq_));
     segments_.push_back(
-        Segment{opts_.dir + "/" + opts_.prefix + name + opts_.suffix, {}});
+        Segment{opts_.dir + "/" + opts_.prefix + name + opts_.suffix, {}, {}});
     if (!open_active(error)) {
       segments_.pop_back();
       return 0;
@@ -169,6 +203,7 @@ std::uint64_t SegmentLog::append(std::string_view payload,
     fail(error, "write " + seg.path);
     return 0;
   }
+  seg.index.push_back({seq, seg.scan.good_bytes});
   if (seg.scan.records++ == 0) seg.scan.first_seq = seq;
   seg.scan.last_seq = seq;
   seg.scan.good_bytes += frame.size();

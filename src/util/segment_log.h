@@ -20,6 +20,12 @@
 //
 // The log assigns seqs: each append takes the next one above both the
 // newest kept record and the owner's floor.
+//
+// Each segment carries an index of its verified records (seq and byte
+// offset): list() fills it from the scan that judges the segment, append
+// extends it, and open()'s repairs leave it valid because a torn tail is
+// never indexed. read() seeks through it, so a read costs the records it
+// delivers, not the fill of the segments it crosses.
 #pragma once
 
 #include <cstddef>
@@ -43,11 +49,19 @@ class SegmentLog {
     std::uint64_t max_segment_bytes = 4u << 20;
   };
 
+  /// One verified record: its seq and the offset of its header. Its
+  /// extent ends at the next entry's offset, or at scan.good_bytes.
+  struct IndexEntry {
+    std::uint64_t seq = 0;
+    std::uint64_t offset = 0;
+  };
+
   /// One segment file. In a listing, scan.verdict is list()'s class; in
   /// an open log every segment is clean and scan counts what it holds.
   struct Segment {
     std::string path;
     record_log::Scan scan;
+    std::vector<IndexEntry> index;  ///< scan's records, in file order
   };
 
   struct Listing {
@@ -81,9 +95,14 @@ class SegmentLog {
       Repair* repair, std::string* error);
 
   /// Streams the records with seq > `from` in `segments`, oldest first;
-  /// `fn` returns false to stop early. Reads only the bytes each scan
-  /// vouched for, and fails with `error` when they no longer verify: the
-  /// disk changed underneath.
+  /// `fn` returns false to stop early. Starts at the first indexed record
+  /// above `from` and reads one record per pread(2), stopping when `fn`
+  /// does, so the bytes read grow with the records delivered. Each record
+  /// is checked before it is handed over: magic, length, CRC, and the
+  /// header's seq against the indexed one. A mismatch or a short read
+  /// fails with `error` ("segment changed on disk"): a stale index can
+  /// fail a read but never deliver wrong bytes. Records the read does not
+  /// deliver are not re-checked; list() still judges every byte.
   [[nodiscard]] static bool read(const std::vector<Segment>& segments,
                                  std::uint64_t from,
                                  const record_log::RecordFn& fn,

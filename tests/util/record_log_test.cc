@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 
 namespace netd::util {
@@ -9,6 +10,27 @@ namespace {
 
 namespace rlog = record_log;
 using Verdict = rlog::Scan::Verdict;
+
+/// The bytewise table loop: the oracle the slicing-by-8 kernel must match.
+std::uint32_t bytewise_crc32(const unsigned char* p, std::size_t len,
+                             std::uint32_t seed = 0) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = seed ^ 0xffffffffu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  }
+  return c ^ 0xffffffffu;
+}
 
 TEST(RecordLogTest, Crc32MatchesKnownVector) {
   // The canonical IEEE 802.3 check value: crc32("123456789").
@@ -22,6 +44,53 @@ TEST(RecordLogTest, Crc32ChainsAcrossCalls) {
   const std::uint32_t once = crc32(s, 9);
   const std::uint32_t chained = crc32(s + 4, 5, crc32(s, 4));
   EXPECT_EQ(once, chained);
+}
+
+TEST(RecordLogTest, Crc32MatchesTheBytewiseOracle) {
+  // Every length 0..257 (all eight-byte blocks plus every tail) at each
+  // of the 8 start alignments, whole and chained through a seed.
+  alignas(8) unsigned char buf[257 + 8];
+  for (std::size_t i = 0; i < sizeof(buf); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 167 + 13);
+  }
+  for (std::size_t align = 0; align < 8; ++align) {
+    const unsigned char* p = buf + align;
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const std::uint32_t want = bytewise_crc32(p, len);
+      ASSERT_EQ(crc32(p, len), want) << "align " << align << " len " << len;
+      for (const std::size_t cut : {std::size_t{1}, std::size_t{3},
+                                    std::size_t{8}, len / 2}) {
+        if (cut > len) continue;
+        ASSERT_EQ(crc32(p + cut, len - cut, crc32(p, cut)), want)
+            << "align " << align << " len " << len << " cut " << cut;
+      }
+      ASSERT_EQ(crc32(p, len, 0x9e3779b9u), bytewise_crc32(p, len, 0x9e3779b9u))
+          << "align " << align << " len " << len;
+    }
+  }
+  // One spool-sized record.
+  std::string big(24576, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>((i * 131 + 7) & 0xff);
+  }
+  const auto* b = reinterpret_cast<const unsigned char*>(big.data());
+  EXPECT_EQ(crc32(big.data(), big.size()), bytewise_crc32(b, big.size()));
+  EXPECT_EQ(crc32(big.data(), big.size()), 0x33e9c342u);
+}
+
+TEST(RecordLogTest, EncodedFrameMatchesGoldenBytes) {
+  // Captured from the bytewise-CRC build; never regenerate these from the
+  // code under test: they pin every framed byte on disk.
+  static constexpr unsigned char kGolden[] = {
+      0x50, 0x53, 0x44, 0x4e, 0x25, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x38, 0x01, 0x1a, 0xd6, 0x7b, 0x22, 0x74, 0x22,
+      0x3a, 0x22, 0x62, 0x6f, 0x62, 0x73, 0x22, 0x2c, 0x22, 0x73, 0x72, 0x63,
+      0x22, 0x3a, 0x22, 0x73, 0x65, 0x6e, 0x73, 0x6f, 0x72, 0x2d, 0x30, 0x22,
+      0x2c, 0x22, 0x73, 0x65, 0x71, 0x22, 0x3a, 0x37, 0x7d};
+  const std::string frame =
+      rlog::encode_record(7, R"({"t":"bobs","src":"sensor-0","seq":7})");
+  EXPECT_EQ(frame, std::string(reinterpret_cast<const char*>(kGolden),
+                               sizeof(kGolden)));
 }
 
 TEST(RecordLogTest, EncodeScanRoundTrip) {
