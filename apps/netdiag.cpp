@@ -510,6 +510,7 @@ int cmd_run(util::Flags& flags) {
   copts.checkpoint_path = flags.get("checkpoint");
   copts.resume = flags.get_bool("resume");
   copts.max_new_placements = flags.get_uint("max-placements", 0);
+  // Every run is a campaign; these flags only add its summary line.
   const bool campaign = !copts.checkpoint_path.empty() || copts.resume ||
                         flags.has("csv") || flags.has("max-placements") ||
                         cfg.trial_deadline_ms > 0;
@@ -526,65 +527,44 @@ int cmd_run(util::Flags& flags) {
   };
 
   exp::Runner runner(cfg);
+  std::string error;
   if (const std::string f = flags.get("record"); !f.empty()) {
     svc::SessionConfig scfg;
     scfg.alarm_threshold = flags.get_uint("threshold", 1);
-    std::string error;
-    if (campaign) {
-      const auto res = runner.record_campaign(f, scfg, copts, &error);
-      if (!res) {
-        std::cerr << "netdiag: " << error << "\n";
-        return 1;
-      }
-      std::cout << "wrote " << f << " (" << res->episodes << " episodes)\n";
-      print_campaign_summary(*res);
-      return 0;
+    const auto res = runner.record_campaign(f, scfg, copts, &error);
+    if (!res) {
+      std::cerr << "netdiag: " << error << "\n";
+      return 1;
     }
+    std::cout << "wrote " << f << " (" << res->episodes << " episodes)\n";
+    if (campaign) print_campaign_summary(*res);
+    return 0;
+  }
+
+  const auto res = runner.run_campaign(*algos, copts, &error);
+  if (!res) {
+    std::cerr << "netdiag: " << error << "\n";
+    return 1;
+  }
+  if (campaign) print_campaign_summary(*res);
+  if (const std::string f = flags.get("csv"); !f.empty()) {
     std::ofstream os(f);
     if (!os) {
       std::cerr << "netdiag: cannot write " << f << "\n";
       return 1;
     }
-    const auto episodes = runner.record_trace(os, scfg, &error);
-    if (!episodes) {
-      std::cerr << "netdiag: " << error << "\n";
-      return 1;
-    }
-    std::cout << "wrote " << f << " (" << *episodes << " episodes)\n";
-    return 0;
+    exp::write_csv(os, res->trials, *algos);
+    std::cout << "wrote " << f << " (" << res->trials.size() << " rows)\n";
   }
-
-  std::vector<exp::TrialResult> results;
-  if (campaign) {
-    std::string error;
-    const auto res = runner.run_campaign(*algos, copts, &error);
-    if (!res) {
-      std::cerr << "netdiag: " << error << "\n";
-      return 1;
-    }
-    print_campaign_summary(*res);
-    if (const std::string f = flags.get("csv"); !f.empty()) {
-      std::ofstream os(f);
-      if (!os) {
-        std::cerr << "netdiag: cannot write " << f << "\n";
-        return 1;
-      }
-      exp::write_csv(os, res->trials, *algos);
-      std::cout << "wrote " << f << " (" << res->trials.size() << " rows)\n";
-    }
-    results.reserve(res->trials.size());
-    for (const auto& st : res->trials) results.push_back(st.result);
-  } else {
-    results = runner.run(*algos);
-  }
-  std::cout << results.size() << " diagnosable episodes\n\n";
-  if (results.empty()) return 0;
+  std::cout << res->trials.size() << " diagnosable episodes\n\n";
+  if (res->trials.empty()) return 0;
 
   util::Table t({"algorithm", "link sens", "link spec", "AS sens", "AS spec",
                  "mean |H|"});
   for (exp::Algo a : *algos) {
     util::Summary ls, lp, as, ap, hs;
-    for (const auto& r : results) {
+    for (const auto& st : res->trials) {
+      const exp::TrialResult& r = st.result;
       if (r.link.count(a) != 0) {
         ls.add(r.link.at(a).sensitivity);
         lp.add(r.link.at(a).specificity);

@@ -7,6 +7,7 @@
 set -u
 
 NETDIAG=${1:?usage: kill_resume_test.sh <path-to-netdiag> [workdir]}
+NETDIAG=$(realpath "$NETDIAG")  # the script cds into the workdir below
 WORK=${2:-$(mktemp -d)}
 mkdir -p "$WORK"
 cd "$WORK"
@@ -45,6 +46,10 @@ $NETDIAG run $SCEN --threads 1 --csv ref.csv \
   --checkpoint ref.ck.json >/dev/null || fail "reference score run"
 $NETDIAG run $SCEN --threads 1 --record ref.jsonl --threshold 2 \
   --checkpoint ref_rec.ck.json >/dev/null || fail "reference record run"
+$NETDIAG run $SCEN --threads 2 --record plain.jsonl --threshold 2 \
+  >/dev/null || fail "plain record run"
+cmp ref.jsonl plain.jsonl || fail "plain recording differs from reference"
+echo "   plain recording byte-identical to the checkpointed one"
 
 echo "== score mode: kill mid-campaign, then resume =="
 kill_mid_flight crash.ck.json \

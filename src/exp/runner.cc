@@ -1,11 +1,12 @@
 #include "exp/runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <fstream>
+#include <future>
 #include <map>
-#include <mutex>
 #include <optional>
 
 #include "core/diagnosability.h"
@@ -581,191 +582,42 @@ TrialResult score_episode(const EpisodeContext& ep,
   return tr;
 }
 
-/// Everything one episode contributes to a deferred for_each_episode
-/// callback, copied out of the worker-local EpisodeContext.
-struct EpisodeData {
-  Mesh after;
-  core::ControlPlaneObs cp;
-  std::set<std::string> f_links;
-  std::set<int> f_ases;
-  std::set<int> universe;
-};
-
-/// Per-placement bundle backing the deferred callbacks of one placement.
-struct PlacementData {
+/// One placement's diagnosable episodes, copied out of the worker-local
+/// EpisodeContexts so its commit can replay them on the calling thread.
+struct PlacementEpisodes {
+  struct Episode {
+    Mesh after;
+    core::ControlPlaneObs cp;
+    std::set<std::string> f_links;
+    std::set<int> f_ases;
+    std::set<int> universe;
+  };
   Mesh before;
   std::optional<lg::LookingGlassService> lg_svc;
   AsId op_as{0};
   double diag = 0.0;
-  std::vector<EpisodeData> episodes;
+  std::vector<Episode> episodes;
+
+  void add(const EpisodeContext& ep) {
+    if (episodes.empty()) {
+      before = ep.before;
+      if (ep.lg != nullptr) lg_svc.emplace(*ep.lg);
+      op_as = ep.operator_as;
+      diag = ep.diagnosability;
+    }
+    episodes.push_back(
+        {ep.after, ep.cp, ep.failed_links, ep.failed_ases, ep.universe});
+  }
+
+  /// Commits call it on the placement moved out of its buffer, so the
+  /// episodes are freed once replayed.
+  void replay(const std::function<void(const EpisodeContext&)>& fn) const {
+    for (const Episode& e : episodes) {
+      fn(EpisodeContext{before, e.after, e.cp, lg_svc ? &*lg_svc : nullptr,
+                        op_as, e.f_links, e.f_ases, e.universe, diag});
+    }
+  }
 };
-
-}  // namespace
-
-std::size_t Runner::effective_threads() const {
-  return std::min(util::ThreadPool::resolve_threads(cfg_.num_threads),
-                  std::max<std::size_t>(1, cfg_.num_placements));
-}
-
-void Runner::map_episodes(
-    bool need_lg,
-    const std::function<void(std::size_t, std::size_t, const EpisodeContext&)>&
-        sink,
-    const MapHooks* hooks) {
-  // The LG answer table is a function of the shared base state; build it
-  // once and let every placement's service filter it.
-  std::optional<lg::LgTable> lg_table;
-  if (need_lg) lg_table.emplace(net_);
-  const lg::LgTable* table = lg_table ? &*lg_table : nullptr;
-
-  // Pre-fork one seed per placement, in placement order — the same
-  // sequence the serial loop consumes, so sharding (or skipping resumed
-  // placements) cannot change any placement's draws.
-  util::Rng root(cfg_.seed);
-  std::vector<std::uint64_t> seeds(cfg_.num_placements);
-  for (auto& s : seeds) s = root.fork();
-
-  const auto should_run = [&](std::size_t pl) {
-    return hooks == nullptr || hooks->run_only == nullptr ||
-           hooks->run_only->count(pl) != 0;
-  };
-  const auto run_one = [&](sim::Network& net,
-                           const sim::Network::Snapshot& base,
-                           std::size_t pl) {
-    // Root span of this placement's trace: the context derives from
-    // (campaign seed, placement index) only, so the span tree is
-    // identical across runs and across --threads settings, and other
-    // threads (the checkpoint commit) can recompute it to join the trace.
-    obs::Span pl_span(
-        "placement",
-        obs::Span::root_context(cfg_.seed, pl, static_cast<std::uint32_t>(pl + 1)),
-        /*salt=*/0);
-    auto quarantined =
-        run_placement(cfg_, net, base, seeds[pl], table,
-                      [&](std::size_t trial, const EpisodeContext& ep) {
-                        sink(pl, trial, ep);
-                      });
-    if (hooks != nullptr && hooks->on_placement_done) {
-      hooks->on_placement_done(pl, seeds[pl], std::move(quarantined));
-    }
-  };
-
-  const std::size_t threads = effective_threads();
-  if (threads <= 1) {
-    const sim::Network::Snapshot base = net_.snapshot();
-    for (std::size_t pl = 0; pl < cfg_.num_placements; ++pl) {
-      if (should_run(pl)) run_one(net_, base, pl);
-    }
-    return;
-  }
-
-  // Placement-granularity sharding: worker w owns the contiguous block
-  // [w·P/T, (w+1)·P/T) on a private clone of the network (re-converged
-  // from the same topology, hence bit-identical routing state), so every
-  // placement's episodes are produced by exactly one thread.
-  util::ThreadPool pool(threads);
-  for (std::size_t w = 0; w < threads; ++w) {
-    const std::size_t begin = w * cfg_.num_placements / threads;
-    const std::size_t end = (w + 1) * cfg_.num_placements / threads;
-    if (begin == end) continue;
-    bool any = false;
-    for (std::size_t pl = begin; pl < end && !any; ++pl) any = should_run(pl);
-    if (!any) continue;
-    pool.submit([this, begin, end, &should_run, &run_one] {
-      sim::Network net(net_.topology());
-      net.converge();
-      const sim::Network::Snapshot base = net.snapshot();
-      for (std::size_t pl = begin; pl < end; ++pl) {
-        if (should_run(pl)) run_one(net, base, pl);
-      }
-    });
-  }
-  pool.wait_all();
-}
-
-void Runner::for_each_episode(
-    const std::function<void(const EpisodeContext&)>& fn, bool deploy_lg) {
-  const bool need_lg = deploy_lg || cfg_.frac_blocked > 0.0;
-  if (effective_threads() <= 1) {
-    map_episodes(need_lg, [&](std::size_t, std::size_t,
-                              const EpisodeContext& ep) { fn(ep); });
-    return;
-  }
-
-  // Parallel mode: workers materialize each placement's episodes; the
-  // callbacks replay here in placement order, so `fn` never needs to be
-  // thread-safe and observes the same sequence as a serial run.
-  std::vector<PlacementData> data(cfg_.num_placements);
-  map_episodes(need_lg, [&](std::size_t pl, std::size_t,
-                            const EpisodeContext& ep) {
-    PlacementData& d = data[pl];
-    if (d.episodes.empty()) {
-      d.before = ep.before;
-      if (ep.lg != nullptr) d.lg_svc.emplace(*ep.lg);
-      d.op_as = ep.operator_as;
-      d.diag = ep.diagnosability;
-    }
-    d.episodes.push_back(EpisodeData{ep.after, ep.cp, ep.failed_links,
-                                     ep.failed_ases, ep.universe});
-  });
-  for (const PlacementData& d : data) {
-    for (const EpisodeData& e : d.episodes) {
-      EpisodeContext ctx{d.before,
-                         e.after,
-                         e.cp,
-                         d.lg_svc ? &*d.lg_svc : nullptr,
-                         d.op_as,
-                         e.f_links,
-                         e.f_ases,
-                         e.universe,
-                         d.diag};
-      fn(ctx);
-    }
-  }
-}
-
-std::optional<std::size_t> Runner::record_trace(std::ostream& os,
-                                                const svc::SessionConfig& config,
-                                                std::string* error) {
-  const auto resolved = config.resolve(error);
-  if (!resolved) return std::nullopt;
-  svc::TraceRecorder recorder(os, config);
-  core::Troubleshooter ts(*resolved);
-  std::size_t episodes = 0;
-  for_each_episode([&](const EpisodeContext& ep) {
-    ++episodes;
-    ts.set_baseline(ep.before);
-    recorder.baseline(ep.before);
-    // The failure persists across rounds, so the alarm fires exactly on
-    // round `alarm_threshold` and that round carries the diagnosis.
-    for (std::size_t r = 0; r < config.alarm_threshold; ++r) {
-      recorder.round(ep.after, &ep.cp);
-      const auto out = ts.observe(ep.after, &ep.cp);
-      if (out.has_value()) recorder.diagnosis(*out);
-    }
-  });
-  return episodes;
-}
-
-std::vector<TrialResult> Runner::run(const std::vector<Algo>& algos) {
-  const bool need_lg =
-      std::find(algos.begin(), algos.end(), Algo::kNdLg) != algos.end();
-  // Each placement's bucket is filled by the single worker that owns it;
-  // concatenating in placement order makes the output independent of
-  // scheduling.
-  std::vector<std::vector<TrialResult>> buckets(cfg_.num_placements);
-  map_episodes(need_lg,
-               [&](std::size_t pl, std::size_t, const EpisodeContext& ep) {
-                 buckets[pl].push_back(score_episode(ep, algos, cfg_.mode));
-               });
-  std::vector<TrialResult> results;
-  for (auto& bucket : buckets) {
-    for (TrialResult& tr : bucket) results.push_back(std::move(tr));
-  }
-  return results;
-}
-
-namespace {
 
 /// Loads `opts.checkpoint_path` when resuming (a missing file is a fresh
 /// start, not an error), verifies it belongs to this campaign, and
@@ -791,101 +643,141 @@ std::optional<Checkpoint> open_campaign(const Checkpoint& fresh,
   return fresh;
 }
 
-/// The contiguous block of not-yet-completed placements this invocation
-/// runs (all of them unless opts.max_new_placements caps the chunk — a
-/// contiguous chunk, so the committed prefix never gets a hole).
-std::set<std::size_t> placements_to_run(std::size_t completed,
-                                        std::size_t total,
-                                        const CampaignOptions& opts) {
-  std::set<std::size_t> out;
-  std::size_t budget = opts.max_new_placements == 0 ? total
-                                                    : opts.max_new_placements;
-  for (std::size_t pl = completed; pl < total && budget > 0; ++pl, --budget) {
-    out.insert(pl);
-  }
-  return out;
-}
-
 }  // namespace
 
-std::optional<CampaignResult> Runner::run_campaign(
-    const std::vector<Algo>& algos, const CampaignOptions& opts,
-    std::string* error) {
-  const bool need_lg =
-      std::find(algos.begin(), algos.end(), Algo::kNdLg) != algos.end();
-  Checkpoint fresh;
-  fresh.scenario = cfg_;
-  fresh.algos = algos;
-  auto opened = open_campaign(fresh, opts, error);
-  if (!opened) return std::nullopt;
-  Checkpoint ck = std::move(*opened);
-  const std::size_t num_placements = cfg_.num_placements;
-  const std::size_t resumed = ck.completed_placements;
-  const std::set<std::size_t> run_only =
-      placements_to_run(resumed, num_placements, opts);
-  // Persist the starting state up front so a kill before the first
-  // placement commit still leaves a loadable checkpoint behind.
-  if (!opts.checkpoint_path.empty() && !ck.save(opts.checkpoint_path, error)) {
-    return std::nullopt;
-  }
+bool Runner::map_episodes(const ScenarioConfig& cfg, bool need_lg,
+                          std::size_t first, std::size_t last,
+                          const EpisodeSink& sink,
+                          const PlacementCommit& commit) {
+  // The LG answer table is a function of the shared base state; build it
+  // once and let every placement's service filter it.
+  std::optional<lg::LgTable> lg_table;
+  if (need_lg) lg_table.emplace(net_);
+  const lg::LgTable* table = lg_table ? &*lg_table : nullptr;
 
-  // Workers finish placements out of order; only the contiguous done-
-  // prefix is appended to the checkpoint and persisted, so the file never
-  // claims a placement whose predecessors are still in flight.
-  std::mutex mu;
-  std::vector<std::vector<ScoredTrial>> pending(num_placements);
-  std::vector<std::vector<std::size_t>> pending_q(num_placements);
-  std::vector<std::uint64_t> pending_seed(num_placements, 0);
-  std::vector<bool> done(num_placements, false);
-  for (std::size_t pl = 0; pl < resumed; ++pl) done[pl] = true;
-  std::string commit_error;
+  // Pre-fork one seed per placement, in placement order, so sharding (or
+  // skipping committed placements) cannot change any placement's draws.
+  util::Rng root(cfg.seed);
+  std::vector<std::uint64_t> seeds(cfg.num_placements);
+  for (auto& s : seeds) s = root.fork();
 
-  MapHooks hooks;
-  hooks.run_only = &run_only;
-  hooks.on_placement_done = [&](std::size_t pl, std::uint64_t seed,
-                                std::vector<std::size_t> quarantined) {
-    std::lock_guard<std::mutex> lock(mu);
-    pending_seed[pl] = seed;
-    pending_q[pl] = std::move(quarantined);
-    done[pl] = true;
-    bool advanced = false;
-    while (ck.completed_placements < num_placements &&
-           done[ck.completed_placements]) {
-      const std::size_t p = ck.completed_placements;
-      // Joins placement p's trace from whichever worker extends the
-      // prefix: the parent context is recomputed from (seed, p).
-      obs::Span commit_span(
-          "checkpoint_commit",
-          obs::Span::root_context(cfg_.seed, p, static_cast<std::uint32_t>(p + 1)),
-          /*salt=*/1);
-      ck.results.push_back(std::move(pending[p]));
-      ck.episodes += ck.results.back().size();
-      for (std::size_t t : pending_q[p]) {
-        ck.quarantined.push_back(QuarantinedTrial{p, t, pending_seed[p]});
-      }
-      ++ck.completed_placements;
-      advanced = true;
-    }
-    if (advanced && !opts.checkpoint_path.empty() && commit_error.empty()) {
-      std::string e;
-      if (!ck.save(opts.checkpoint_path, &e)) commit_error = e;
-    }
+  // A placement's span tree derives from (campaign seed, placement index)
+  // only, so it is identical across runs and across thread counts.
+  const auto root_context = [&](std::size_t pl) {
+    return obs::Span::root_context(cfg.seed, pl,
+                                   static_cast<std::uint32_t>(pl + 1));
+  };
+  std::vector<std::vector<std::size_t>> quarantined(cfg.num_placements);
+  const auto run_one = [&](sim::Network& net,
+                           const sim::Network::Snapshot& base,
+                           std::size_t pl) {
+    obs::Span pl_span("placement", root_context(pl), /*salt=*/0);
+    quarantined[pl] =
+        run_placement(cfg, net, base, seeds[pl], table,
+                      [&](std::size_t trial, const EpisodeContext& ep) {
+                        sink(pl, trial, ep);
+                      });
+  };
+  const auto commit_one = [&](std::size_t pl) {
+    obs::Span commit_span("checkpoint_commit", root_context(pl), /*salt=*/1);
+    return commit(pl, seeds[pl], quarantined[pl]);
   };
 
-  map_episodes(
-      need_lg,
-      [&](std::size_t pl, std::size_t trial, const EpisodeContext& ep) {
-        pending[pl].push_back(
-            ScoredTrial{pl, trial, score_episode(ep, algos, cfg_.mode)});
-      },
-      &hooks);
+  const std::size_t n = last - first;
+  const std::size_t threads = std::min(
+      util::ThreadPool::resolve_threads(cfg.num_threads),
+      std::max<std::size_t>(1, n));
+  if (threads <= 1) {
+    const sim::Network::Snapshot base = net_.snapshot();
+    for (std::size_t pl = first; pl < last; ++pl) {
+      run_one(net_, base, pl);
+      if (!commit_one(pl)) return false;
+    }
+    return true;
+  }
 
-  if (!commit_error.empty()) {
+  // Placement-granularity sharding: worker w owns the contiguous block
+  // [first + w·n/T, first + (w+1)·n/T) on a private clone of the network
+  // (re-converged from the same topology, hence bit-identical routing
+  // state), so every placement's episodes are produced by exactly one
+  // thread. A worker fulfils done[p] once placement p has run, or hands
+  // the exception that stopped its block to the caller. Only the caller
+  // sets `stop`, once it waits for no further placement.
+  std::vector<std::promise<void>> done(n);
+  std::atomic<bool> stop{false};
+  util::ThreadPool pool(threads);
+  for (std::size_t w = 0; w < threads; ++w) {
+    pool.submit([&, pl = first + w * n / threads,
+                 end = first + (w + 1) * n / threads]() mutable {
+      try {
+        sim::Network net(net_.topology());
+        net.converge();
+        const sim::Network::Snapshot base = net.snapshot();
+        for (; pl < end && !stop; ++pl) {
+          run_one(net, base, pl);
+          done[pl - first].set_value();
+        }
+      } catch (...) {
+        for (; pl < end; ++pl) {
+          done[pl - first].set_exception(std::current_exception());
+        }
+      }
+    });
+  }
+  for (std::size_t pl = first; pl < last && !stop; ++pl) {
+    done[pl - first].get_future().get();  // rethrows a worker's exception
+    stop = !commit_one(pl);
+  }
+  return !stop;
+}
+
+void Runner::for_each_episode(
+    const std::function<void(const EpisodeContext&)>& fn, bool deploy_lg) {
+  std::vector<PlacementEpisodes> buffered(cfg_.num_placements);
+  map_episodes(
+      cfg_, deploy_lg || cfg_.frac_blocked > 0.0, 0, cfg_.num_placements,
+      [&](std::size_t pl, std::size_t, const EpisodeContext& ep) {
+        buffered[pl].add(ep);
+      },
+      [&](std::size_t pl, std::uint64_t, const std::vector<std::size_t>&) {
+        PlacementEpisodes(std::move(buffered[pl])).replay(fn);
+        return true;
+      });
+}
+
+std::optional<CampaignResult> Runner::campaign(
+    Checkpoint& ck, const CampaignOptions& opts, bool need_lg,
+    const EpisodeSink& sink,
+    const std::function<bool(std::size_t pl, std::string* error)>& fold,
+    std::string* error) {
+  // Persist the starting state up front so a kill before the first
+  // placement commit still leaves a loadable checkpoint behind.
+  const bool persist = !opts.checkpoint_path.empty();
+  if (persist && !ck.save(opts.checkpoint_path, error)) return std::nullopt;
+  // A contiguous chunk, so the committed prefix never gets a hole.
+  const std::size_t resumed = ck.completed_placements;
+  const std::size_t last =
+      opts.max_new_placements == 0
+          ? cfg_.num_placements
+          : std::min(cfg_.num_placements, resumed + opts.max_new_placements);
+  std::string commit_error;
+  const bool ok = map_episodes(
+      cfg_, need_lg, resumed, last, sink,
+      [&](std::size_t pl, std::uint64_t seed,
+          const std::vector<std::size_t>& quarantined) {
+        if (!fold(pl, &commit_error)) return false;
+        for (std::size_t t : quarantined) {
+          ck.quarantined.push_back(QuarantinedTrial{pl, t, seed});
+        }
+        ++ck.completed_placements;
+        return !persist || ck.save(opts.checkpoint_path, &commit_error);
+      });
+  if (!ok) {
     if (error != nullptr) *error = commit_error;
     return std::nullopt;
   }
   CampaignResult res;
-  res.total_placements = num_placements;
+  res.total_placements = cfg_.num_placements;
   res.completed_placements = ck.completed_placements;
   res.resumed_placements = resumed;
   res.episodes = ck.episodes;
@@ -896,48 +788,131 @@ std::optional<CampaignResult> Runner::run_campaign(
   return res;
 }
 
+std::vector<TrialResult> Runner::run(const std::vector<Algo>& algos) {
+  auto res = run_campaign(algos, {});  // without a checkpoint it cannot fail
+  std::vector<TrialResult> results;
+  results.reserve(res->trials.size());
+  for (ScoredTrial& st : res->trials) results.push_back(std::move(st.result));
+  return results;
+}
+
+std::optional<CampaignResult> Runner::run_campaign(
+    const std::vector<Algo>& algos, const CampaignOptions& opts,
+    std::string* error) {
+  Checkpoint fresh;
+  fresh.scenario = cfg_;
+  fresh.algos = algos;
+  auto ck = open_campaign(fresh, opts, error);
+  if (!ck) return std::nullopt;
+  // Scored on the worker that runs the placement, appended at its commit.
+  std::vector<std::vector<ScoredTrial>> scored(cfg_.num_placements);
+  return campaign(
+      *ck, opts,
+      std::find(algos.begin(), algos.end(), Algo::kNdLg) != algos.end(),
+      [&](std::size_t pl, std::size_t trial, const EpisodeContext& ep) {
+        scored[pl].push_back(
+            ScoredTrial{pl, trial, score_episode(ep, algos, cfg_.mode)});
+      },
+      [&](std::size_t pl, std::string*) {
+        ck->episodes += scored[pl].size();
+        ck->results.push_back(std::move(scored[pl]));
+        return true;
+      },
+      error);
+}
+
+std::optional<CampaignResult> Runner::record(
+    std::ostream& os, const std::string& trace_path,
+    const svc::SessionConfig& config,
+    const core::Troubleshooter::Config& resolved, Checkpoint& ck,
+    const CampaignOptions& opts, std::string* error) {
+  // A resumed trace already holds its config line.
+  svc::TraceRecorder recorder(os, config, /*emit_config=*/ck.trace_bytes == 0);
+  core::Troubleshooter ts(resolved);
+  std::vector<PlacementEpisodes> buffered(cfg_.num_placements);
+  const auto record_episode = [&](const EpisodeContext& ep) {
+    // set_baseline resets the detector, so episodes are independent and a
+    // recorder restarted mid-campaign emits identical bytes.
+    ts.set_baseline(ep.before);
+    recorder.baseline(ep.before);
+    // The failure persists across rounds, so the alarm fires exactly on
+    // round `alarm_threshold` and that round carries the diagnosis.
+    for (std::size_t r = 0; r < config.alarm_threshold; ++r) {
+      recorder.round(ep.after, &ep.cp);
+      const auto out = ts.observe(ep.after, &ep.cp);
+      if (out.has_value()) recorder.diagnosis(*out);
+    }
+    ++ck.episodes;
+  };
+  // Looking Glasses are deployed iff traceroute blocking is on.
+  return campaign(
+      ck, opts, cfg_.frac_blocked > 0.0,
+      [&](std::size_t pl, std::size_t, const EpisodeContext& ep) {
+        buffered[pl].add(ep);
+      },
+      [&](std::size_t pl, std::string* e) {
+        PlacementEpisodes(std::move(buffered[pl])).replay(record_episode);
+        if (opts.checkpoint_path.empty()) return true;
+        // Durability order: trace bytes hit disk before the checkpoint
+        // that references their length is committed.
+        os.flush();
+        if (!os) {
+          *e = "write error on " + trace_path;
+          return false;
+        }
+        if (!util::fsync_file(trace_path, e)) return false;
+        const auto size = util::file_size(trace_path);
+        if (!size) {
+          *e = "stat failed on " + trace_path;
+          return false;
+        }
+        ck.trace_bytes = *size;
+        return true;
+      },
+      error);
+}
+
+std::optional<std::size_t> Runner::record_trace(
+    std::ostream& os, const svc::SessionConfig& config, std::string* error) {
+  const auto resolved = config.resolve(error);
+  if (!resolved) return std::nullopt;
+  Checkpoint ck;
+  const auto res = record(os, "", config, *resolved, ck, {}, error);
+  if (!res) return std::nullopt;
+  return res->episodes;
+}
+
 std::optional<CampaignResult> Runner::record_campaign(
     const std::string& trace_path, const svc::SessionConfig& config,
     const CampaignOptions& opts, std::string* error) {
   const auto resolved = config.resolve(error);
   if (!resolved) return std::nullopt;
-  // Matches record_trace() / for_each_episode(): Looking Glasses are
-  // deployed iff traceroute blocking is on.
-  const bool need_lg = cfg_.frac_blocked > 0.0;
-
   Checkpoint fresh;
   fresh.scenario = cfg_;
   fresh.recording = true;
   fresh.record_config = config;
-  auto opened = open_campaign(fresh, opts, error);
-  if (!opened) return std::nullopt;
-  Checkpoint ck = std::move(*opened);
-  const std::size_t num_placements = cfg_.num_placements;
-  const std::size_t resumed = ck.completed_placements;
-  const std::set<std::size_t> run_only =
-      placements_to_run(resumed, num_placements, opts);
+  auto ck = open_campaign(fresh, opts, error);
+  if (!ck) return std::nullopt;
 
   // Trace file: resume truncates back to the committed byte offset —
   // dropping any partial trailing line a crash left — and appends; a
   // fresh campaign truncates the whole file and re-emits the config line.
-  bool emit_config = true;
-  std::ios_base::openmode mode = std::ios_base::trunc;
-  if (ck.trace_bytes > 0) {
+  if (ck->trace_bytes > 0) {
     const auto size = util::file_size(trace_path);
-    if (!size || *size < ck.trace_bytes) {
+    if (!size || *size < ck->trace_bytes) {
       if (error != nullptr) {
         *error = trace_path + ": shorter than the checkpoint's committed "
                  "offset — wrong or lost trace file";
       }
       return std::nullopt;
     }
-    if (!util::truncate_file(trace_path, ck.trace_bytes, error)) {
+    if (!util::truncate_file(trace_path, ck->trace_bytes, error)) {
       return std::nullopt;
     }
     // The committed offset is a line boundary by construction; refuse a
     // file that disagrees (wrong file, manual edits).
     std::ifstream in(trace_path, std::ios_base::binary);
-    in.seekg(static_cast<std::streamoff>(ck.trace_bytes - 1));
+    in.seekg(static_cast<std::streamoff>(ck->trace_bytes - 1));
     char c = 0;
     if (!in.get(c) || c != '\n') {
       if (error != nullptr) {
@@ -945,127 +920,20 @@ std::optional<CampaignResult> Runner::record_campaign(
       }
       return std::nullopt;
     }
-    emit_config = false;
-    mode = std::ios_base::app;
   }
-  std::ofstream os(trace_path, std::ios_base::out | mode);
+  std::ofstream os(trace_path, ck->trace_bytes > 0 ? std::ios_base::app
+                                                   : std::ios_base::trunc);
   if (!os) {
-    if (error != nullptr) *error = "cannot open " + trace_path;
+    if (error != nullptr) *error = "cannot write " + trace_path;
     return std::nullopt;
   }
-  if (!opts.checkpoint_path.empty() && !ck.save(opts.checkpoint_path, error)) {
-    return std::nullopt;
-  }
-
-  svc::TraceRecorder recorder(os, config, emit_config);
-  core::Troubleshooter ts(*resolved);
-
-  // Same prefix-commit protocol as run_campaign, except a committed
-  // placement's episodes are *replayed into the trace* (in placement
-  // order, by whichever worker extended the prefix) before the checkpoint
-  // referencing their bytes is written. Troubleshooter::set_baseline
-  // resets the detector, so episodes are independent and a recorder
-  // restarted mid-campaign emits identical bytes.
-  std::mutex mu;
-  std::vector<PlacementData> data(num_placements);
-  std::vector<std::vector<std::size_t>> pending_q(num_placements);
-  std::vector<std::uint64_t> pending_seed(num_placements, 0);
-  std::vector<bool> done(num_placements, false);
-  for (std::size_t pl = 0; pl < resumed; ++pl) done[pl] = true;
-  std::string commit_error;
-
-  MapHooks hooks;
-  hooks.run_only = &run_only;
-  hooks.on_placement_done = [&](std::size_t pl, std::uint64_t seed,
-                                std::vector<std::size_t> quarantined) {
-    std::lock_guard<std::mutex> lock(mu);
-    pending_seed[pl] = seed;
-    pending_q[pl] = std::move(quarantined);
-    done[pl] = true;
-    bool advanced = false;
-    while (ck.completed_placements < num_placements &&
-           done[ck.completed_placements]) {
-      const std::size_t p = ck.completed_placements;
-      // As in run_campaign: the replay-into-trace work joins placement
-      // p's trace via the recomputed root context, and the observe/solve
-      // spans below nest under it ambiently.
-      obs::Span commit_span(
-          "checkpoint_commit",
-          obs::Span::root_context(cfg_.seed, p, static_cast<std::uint32_t>(p + 1)),
-          /*salt=*/1);
-      PlacementData& d = data[p];
-      for (const EpisodeData& e : d.episodes) {
-        ts.set_baseline(d.before);
-        recorder.baseline(d.before);
-        for (std::size_t r = 0; r < config.alarm_threshold; ++r) {
-          recorder.round(e.after, &e.cp);
-          const auto out = ts.observe(e.after, &e.cp);
-          if (out.has_value()) recorder.diagnosis(*out);
-        }
-        ++ck.episodes;
-      }
-      d.episodes.clear();
-      d.episodes.shrink_to_fit();  // committed — free the bulk of the data
-      for (std::size_t t : pending_q[p]) {
-        ck.quarantined.push_back(QuarantinedTrial{p, t, pending_seed[p]});
-      }
-      ++ck.completed_placements;
-      advanced = true;
-    }
-    if (!advanced || !commit_error.empty()) return;
-    // Durability order: trace bytes hit disk before the checkpoint that
-    // references their length is committed.
-    os.flush();
-    if (!os) {
-      commit_error = "write error on " + trace_path;
-      return;
-    }
-    std::string e;
-    if (!util::fsync_file(trace_path, &e)) {
-      commit_error = e;
-      return;
-    }
-    const auto size = util::file_size(trace_path);
-    if (!size) {
-      commit_error = "stat failed on " + trace_path;
-      return;
-    }
-    ck.trace_bytes = *size;
-    if (!opts.checkpoint_path.empty() && !ck.save(opts.checkpoint_path, &e)) {
-      commit_error = e;
-    }
-  };
-
-  map_episodes(
-      need_lg,
-      [&](std::size_t pl, std::size_t, const EpisodeContext& ep) {
-        PlacementData& d = data[pl];
-        if (d.episodes.empty()) {
-          d.before = ep.before;
-          if (ep.lg != nullptr) d.lg_svc.emplace(*ep.lg);
-          d.op_as = ep.operator_as;
-          d.diag = ep.diagnosability;
-        }
-        d.episodes.push_back(EpisodeData{ep.after, ep.cp, ep.failed_links,
-                                         ep.failed_ases, ep.universe});
-      },
-      &hooks);
-
-  if (!commit_error.empty()) {
-    if (error != nullptr) *error = commit_error;
-    return std::nullopt;
-  }
+  auto res = record(os, trace_path, config, *resolved, *ck, opts, error);
+  if (!res) return std::nullopt;
   os.flush();
   if (!os) {
     if (error != nullptr) *error = "write error on " + trace_path;
     return std::nullopt;
   }
-  CampaignResult res;
-  res.total_placements = num_placements;
-  res.completed_placements = ck.completed_placements;
-  res.resumed_placements = resumed;
-  res.episodes = ck.episodes;
-  res.quarantined = ck.quarantined;
   return res;
 }
 
@@ -1076,28 +944,17 @@ std::vector<ScoredTrial> Runner::replay_placement(std::size_t placement,
   if (placement >= cfg_.num_placements) return out;
   ScenarioConfig cfg = cfg_;
   cfg.trial_deadline_ms = 0;  // the replay runs to completion, no watchdog
-
-  std::optional<lg::LgTable> lg_table;
-  if (deploy_lg) lg_table.emplace(net_);
-  const lg::LgTable* table = lg_table ? &*lg_table : nullptr;
-
-  util::Rng root(cfg_.seed);
-  std::vector<std::uint64_t> seeds(cfg_.num_placements);
-  for (auto& s : seeds) s = root.fork();
-
-  const sim::Network::Snapshot base = net_.snapshot();
-  // Same root context as the campaign's own run of this placement, so a
-  // traced replay diffs cleanly against the original trace.
-  obs::Span pl_span("placement",
-                    obs::Span::root_context(
-                        cfg_.seed, placement,
-                        static_cast<std::uint32_t>(placement + 1)),
-                    /*salt=*/0);
-  run_placement(cfg, net_, base, seeds[placement], table,
-                [&](std::size_t trial, const EpisodeContext& ep) {
-                  out.push_back(ScoredTrial{
-                      placement, trial, score_episode(ep, algos, cfg.mode)});
-                });
+  // One placement runs serially on net_, under the same span tree as the
+  // campaign's own run of it, so a traced replay diffs cleanly against it.
+  map_episodes(
+      cfg, deploy_lg, placement, placement + 1,
+      [&](std::size_t pl, std::size_t trial, const EpisodeContext& ep) {
+        out.push_back(
+            ScoredTrial{pl, trial, score_episode(ep, algos, cfg.mode)});
+      },
+      [](std::size_t, std::uint64_t, const std::vector<std::size_t>&) {
+        return true;
+      });
   return out;
 }
 

@@ -81,7 +81,7 @@ struct ScenarioConfig {
   /// Worker threads for the placement-sharded runner; 0 = one per
   /// hardware thread. Results are bit-identical for every value: each
   /// placement draws from its own pre-forked RNG stream and runs on a
-  /// private network clone, and episodes are merged in placement order.
+  /// private network clone, and placements are committed in order.
   std::size_t num_threads = 0;
   /// Per-trial watchdog: wall-clock budget for one failure episode, in
   /// milliseconds; 0 (default) disables it. The deadline is checked
@@ -170,6 +170,8 @@ struct EpisodeContext {
   double diagnosability = 0.0;
 };
 
+struct Checkpoint;
+
 class Runner {
  public:
   explicit Runner(const ScenarioConfig& cfg);
@@ -178,27 +180,28 @@ class Runner {
   Runner(topo::Topology topology, const ScenarioConfig& cfg);
 
   /// Runs the full protocol; trials that never caused unreachability
-  /// within the attempt budget are skipped (not reported).
+  /// within the attempt budget are skipped (not reported). The results of
+  /// run_campaign(algos, {}).
   [[nodiscard]] std::vector<TrialResult> run(const std::vector<Algo>& algos);
 
-  /// Crash-safe variant of run(): persists completed-placement results to
-  /// `opts.checkpoint_path` (atomic write-temp-fsync-rename) after every
-  /// placement, resumes from it, and quarantines trials the per-trial
-  /// watchdog abandons instead of aborting. Because every placement draws
-  /// from its own pre-forked RNG stream, a campaign interrupted after any
-  /// placement and resumed yields byte-identical ScoredTrial sequences to
-  /// an uninterrupted run. std::nullopt (with `error`) on checkpoint I/O
-  /// or fingerprint-mismatch failures.
+  /// Crash-safe run(): persists completed-placement results to
+  /// `opts.checkpoint_path`, if set (atomic write-temp-fsync-rename), at
+  /// every placement commit, resumes from it, and quarantines trials the
+  /// per-trial watchdog abandons instead of aborting. Because every
+  /// placement draws from its own pre-forked RNG stream, a campaign
+  /// interrupted after any placement and resumed yields byte-identical
+  /// ScoredTrial sequences to an uninterrupted run. std::nullopt (with
+  /// `error`) on checkpoint I/O or fingerprint-mismatch failures.
   [[nodiscard]] std::optional<CampaignResult> run_campaign(
       const std::vector<Algo>& algos, const CampaignOptions& opts,
       std::string* error = nullptr);
 
-  /// Crash-safe variant of record_trace(): writes the event trace to
-  /// `trace_path` and checkpoints (trace byte offset + completed
-  /// placements) after every placement. On resume the trace file is
-  /// truncated back to the last committed offset — dropping any partial
-  /// trailing line the crash left — and appended from the next placement,
-  /// so the final file is byte-identical to an uninterrupted recording.
+  /// Crash-safe record_trace() into `trace_path`: with a checkpoint, every
+  /// placement commit fsyncs the trace, then checkpoints its byte offset.
+  /// On resume the trace file is truncated back to the last committed
+  /// offset — dropping any partial trailing line the crash left — and
+  /// appended from the next placement, so the final file is
+  /// byte-identical to an uninterrupted recording.
   [[nodiscard]] std::optional<CampaignResult> record_campaign(
       const std::string& trace_path, const svc::SessionConfig& config,
       const CampaignOptions& opts, std::string* error = nullptr);
@@ -217,9 +220,9 @@ class Runner {
   /// run()). Used by the ablation benchmarks to score custom algorithm
   /// variants. `deploy_lg` forces Looking Glass construction even when the
   /// high-level run() would not need it. `fn` always runs on the calling
-  /// thread, in placement order — when cfg.num_threads enables parallelism
-  /// the episodes are generated on pool workers and replayed here, so
-  /// callers need no synchronization.
+  /// thread, in placement order: each placement's episodes are buffered
+  /// where the placement runs and handed to `fn` at its commit, so callers
+  /// need no synchronization.
   void for_each_episode(const std::function<void(const EpisodeContext&)>& fn,
                         bool deploy_lg = false);
 
@@ -228,40 +231,56 @@ class Runner {
   /// by `config.alarm_threshold` identical failure rounds — so the alarm
   /// fires on the last one — and the diagnosis a live troubleshooter
   /// produced for them. Episodes appear in placement order regardless of
-  /// cfg.num_threads, so the file is bit-stable for a given scenario.
-  /// Returns the episode count, or std::nullopt (with `error`) when the
-  /// config names an unknown algo/granularity.
+  /// cfg.num_threads, so the bytes are stable for a given scenario and
+  /// equal to what record_campaign() writes. Returns the episode count, or
+  /// std::nullopt (with `error`) when the config names an unknown
+  /// algo/granularity.
   std::optional<std::size_t> record_trace(std::ostream& os,
                                           const svc::SessionConfig& config,
                                           std::string* error = nullptr);
 
-  [[nodiscard]] const sim::Network& network() const { return net_; }
-
  private:
-  /// Extra plumbing for the crash-safe campaign paths.
-  struct MapHooks {
-    /// Placements to execute; nullptr = all. Skipped placements still
-    /// consume their pre-forked seed, so skipping cannot perturb others.
-    const std::set<std::size_t>* run_only = nullptr;
-    /// Invoked (on the owning worker) after a placement's last episode,
-    /// with the placement's seed and the trial indices the watchdog
-    /// quarantined. Never invoked for skipped placements.
-    std::function<void(std::size_t pl, std::uint64_t seed,
-                       std::vector<std::size_t> quarantined)>
-        on_placement_done;
-  };
+  /// Receives a diagnosable episode of placement `pl` on the thread that
+  /// runs the placement; it may touch only that placement's state.
+  using EpisodeSink = std::function<void(std::size_t pl, std::size_t trial,
+                                         const EpisodeContext&)>;
+  /// Commits placement `pl` on the calling thread, given its pre-forked
+  /// seed and the trials the watchdog quarantined; false stops the run.
+  using PlacementCommit =
+      std::function<bool(std::size_t pl, std::uint64_t seed,
+                         const std::vector<std::size_t>& quarantined)>;
 
-  /// Core of the protocol: invokes `sink(placement, trial, episode)` for
-  /// every diagnosable episode. With more than one effective thread, sinks
-  /// for distinct placements run concurrently on pool workers (each
-  /// placement is owned by exactly one worker, on a private network
-  /// clone); sinks must only touch per-placement state. Serial mode calls
-  /// sinks inline.
-  void map_episodes(bool need_lg,
-                    const std::function<void(std::size_t, std::size_t,
-                                             const EpisodeContext&)>& sink,
-                    const MapHooks* hooks = nullptr);
-  [[nodiscard]] std::size_t effective_threads() const;
+  /// The placement driver behind every entry point. Forks the placement
+  /// seeds, builds the LG table when `need_lg`, and runs placements
+  /// [first, last) under `cfg` (cfg_ or a variant): serially on net_, or
+  /// in contiguous blocks on pool workers, each on a private network
+  /// clone. The calling thread commits placement p, in a
+  /// `checkpoint_commit` span of p's trace, once p and every placement
+  /// before it are done. Returns false if a commit did; none follows it.
+  bool map_episodes(const ScenarioConfig& cfg, bool need_lg,
+                    std::size_t first, std::size_t last,
+                    const EpisodeSink& sink, const PlacementCommit& commit);
+
+  /// The campaign behind the scoring and recording entry points: saves
+  /// `ck`, runs the placements it has not committed (at most
+  /// opts.max_new_placements), and commits each by `fold(pl)` (which
+  /// folds its episodes into `ck`), its quarantined trials and a save.
+  /// std::nullopt (with `error`) when a save or a fold fails.
+  std::optional<CampaignResult> campaign(
+      Checkpoint& ck, const CampaignOptions& opts, bool need_lg,
+      const EpisodeSink& sink,
+      const std::function<bool(std::size_t pl, std::string* error)>& fold,
+      std::string* error);
+
+  /// The record-into-trace commit of record_trace() and record_campaign():
+  /// replays each placement's episodes into `os` and, with a checkpoint,
+  /// fsyncs `trace_path` (the file behind `os`) before `ck` records its
+  /// length.
+  std::optional<CampaignResult> record(
+      std::ostream& os, const std::string& trace_path,
+      const svc::SessionConfig& config,
+      const core::Troubleshooter::Config& resolved, Checkpoint& ck,
+      const CampaignOptions& opts, std::string* error);
 
   ScenarioConfig cfg_;
   sim::Network net_;

@@ -104,10 +104,6 @@ Histogram::Histogram(double lo, double growth, std::size_t buckets)
 
 void Histogram::observe(double x) noexcept {
 #ifndef NETD_OBS_DISABLED
-  const std::uint32_t every = sample_every_.load(std::memory_order_relaxed);
-  if (every > 1 &&
-      tick_.fetch_add(1, std::memory_order_relaxed) % every != 0)
-    return;
   Shard& s = *shards_[thread_shard_slot() % kShards];
   std::lock_guard<std::mutex> lock(s.mu);
   s.h.add(x);

@@ -5,8 +5,7 @@
 // Design constraints, in order:
 //   1. Hot-path cost. Counter::inc is one relaxed fetch_add; Gauge::set
 //      one relaxed store. Histogram::observe locks, but the lock is
-//      sharded by thread (8 cache-line-aligned shards) and a sampling
-//      knob lets hot solver loops record every Nth observation only.
+//      sharded by thread (8 cache-line-aligned shards).
 //      Instruments are looked up once (function-local static references
 //      at the call site) so the registry mutex is off the steady path.
 //   2. Compile-out. Configuring with -DNETD_OBS=OFF defines
@@ -84,16 +83,8 @@ class Histogram {
 
   Histogram(double lo, double growth, std::size_t buckets);
 
-  /// Records x into the calling thread's shard. With a sampling period n
-  /// (set_sample_every), only every nth call across all threads records —
-  /// the knob for instrumenting loops too hot to pay a mutex each
-  /// iteration; the resulting distribution is a uniform subsample.
+  /// Records x into the calling thread's shard.
   void observe(double x) noexcept;
-
-  /// n >= 1; 1 (the default) records everything.
-  void set_sample_every(std::uint32_t n) noexcept {
-    sample_every_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
-  }
 
   /// Merged view of all shards.
   [[nodiscard]] util::Histogram snapshot() const;
@@ -109,8 +100,6 @@ class Histogram {
   double lo_, growth_;
   std::size_t buckets_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint32_t> sample_every_{1};
-  std::atomic<std::uint32_t> tick_{0};
 };
 
 enum class SampleType { kCounter, kGauge, kHistogram };

@@ -91,7 +91,8 @@ class AgentTest : public ::testing::Test {
     EXPECT_TRUE(c.has_value()) << error;
     svc::ObserveBatchResponse rsp;
     EXPECT_TRUE(svc::expect_response(
-        c->call(svc::Request{svc::ObserveBatchRequest{session, src, {}}},
+        c->call(svc::Request{svc::ObserveBatchRequest{session, src, {},
+                                                      std::nullopt}},
                 &error),
         &rsp, &error))
         << error;
@@ -107,7 +108,8 @@ class AgentTest : public ::testing::Test {
     if (!c.has_value()) return 0;
     svc::ObserveBatchResponse rsp;
     if (!svc::expect_response(
-            c->call(svc::Request{svc::ObserveBatchRequest{session, src, {}}},
+            c->call(svc::Request{svc::ObserveBatchRequest{session, src, {},
+                                                          std::nullopt}},
                     &error),
             &rsp, &error)) {
       return 0;
@@ -121,8 +123,8 @@ class AgentTest : public ::testing::Test {
     EXPECT_TRUE(c.has_value()) << error;
     svc::QueryResponse rsp;
     EXPECT_TRUE(svc::expect_response(
-        c->call(svc::Request{svc::QueryRequest{session}}, &error), &rsp,
-        &error))
+        c->call(svc::Request{svc::QueryRequest{session, std::nullopt}}, &error),
+        &rsp, &error))
         << error;
     return rsp.diagnosis;
   }
@@ -183,7 +185,7 @@ TEST_F(AgentTest, RedeliveryAfterLostAckIsDedupedExactlyOnce) {
   sopts.dir = dir;
   const auto spool = Spool::open(sopts, &error);
   ASSERT_NE(spool, nullptr) << error;
-  svc::ObserveBatchRequest dup{cfg.session, cfg.name, {}};
+  svc::ObserveBatchRequest dup{cfg.session, cfg.name, {}, std::nullopt};
   ASSERT_TRUE(spool->for_each(
       0,
       [&](std::uint64_t seq, std::string_view payload) {
@@ -195,7 +197,7 @@ TEST_F(AgentTest, RedeliveryAfterLostAckIsDedupedExactlyOnce) {
         std::string merror;
         auto m = svc::mesh_from_json(*mesh, &merror);
         EXPECT_TRUE(m.has_value()) << merror;
-        dup.items.push_back({seq, std::move(*m), std::nullopt});
+        dup.items.push_back({seq, std::move(*m), std::nullopt, std::nullopt});
         return true;
       },
       &error))

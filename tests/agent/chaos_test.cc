@@ -215,7 +215,8 @@ class ChaosFleetTest : public ::testing::Test {
     EXPECT_TRUE(c.has_value()) << error;
     svc::ObserveBatchResponse rsp;
     EXPECT_TRUE(svc::expect_response(
-        c->call(svc::Request{svc::ObserveBatchRequest{session(i), src(i), {}}},
+        c->call(svc::Request{svc::ObserveBatchRequest{session(i), src(i), {},
+                                                      std::nullopt}},
                 &error),
         &rsp, &error))
         << error;
@@ -232,8 +233,9 @@ class ChaosFleetTest : public ::testing::Test {
     EXPECT_TRUE(c.has_value()) << error;
     svc::QueryResponse rsp;
     EXPECT_TRUE(svc::expect_response(
-        c->call(svc::Request{svc::QueryRequest{session(i)}}, &error), &rsp,
-        &error))
+        c->call(svc::Request{svc::QueryRequest{session(i), std::nullopt}},
+                &error),
+        &rsp, &error))
         << error;
     return rsp.diagnosis;
   }

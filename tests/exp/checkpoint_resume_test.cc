@@ -74,6 +74,16 @@ TEST(CheckpointResume, ChunkedResumeMatchesStraightRunAcrossThreadCounts) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ScenarioConfig cfg = base;
     cfg.num_threads = threads;
+    // run() returns run_campaign(algos, {})'s results, minus positions.
+    Runner plain(cfg);
+    const auto results = plain.run(kAlgos);
+    ASSERT_EQ(results.size(), ref->trials.size());
+    CampaignResult projected = *ref;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      projected.trials[i].result = results[i];
+    }
+    EXPECT_EQ(csv_of(projected, kAlgos), ref_csv) << "run, threads=" << threads;
+
     const std::string ck_path = ::testing::TempDir() +
                                 "/netd_resume_ck_t" +
                                 std::to_string(threads) + ".json";
@@ -131,9 +141,38 @@ TEST(CheckpointResume, RecordModeResumeIsByteIdenticalDespiteTornTail) {
   EXPECT_FALSE(a->empty());
   EXPECT_EQ(*a, *b);
 
+  // Every record entry point writes the same bytes at every thread count:
+  // record_trace()'s stream, and record_campaign()'s file with and without
+  // a checkpoint.
+  const std::string trace_c = dir + "/netd_resume_c.jsonl";
+  const std::string ck_c = dir + "/netd_resume_c.ck.json";
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ScenarioConfig tcfg = cfg;
+    tcfg.num_threads = threads;
+    std::ostringstream os;
+    Runner streamed(tcfg);
+    ASSERT_TRUE(streamed.record_trace(os, sc, &error).has_value()) << error;
+    EXPECT_EQ(os.str(), *a) << "record_trace, threads=" << threads;
+    for (const bool checkpointed : {false, true}) {
+      std::remove(trace_c.c_str());
+      std::remove(ck_c.c_str());
+      CampaignOptions copts;
+      if (checkpointed) copts.checkpoint_path = ck_c;
+      Runner filed(tcfg);
+      ASSERT_TRUE(filed.record_campaign(trace_c, sc, copts, &error).has_value())
+          << error;
+      const auto c = util::read_file(trace_c, &error);
+      ASSERT_TRUE(c.has_value()) << error;
+      EXPECT_EQ(*c, *a) << "record_campaign, threads=" << threads
+                        << " checkpointed=" << checkpointed;
+    }
+  }
+
   std::remove(trace_a.c_str());
   std::remove(trace_b.c_str());
   std::remove(ck_b.c_str());
+  std::remove(trace_c.c_str());
+  std::remove(ck_c.c_str());
 }
 
 TEST(CheckpointResume, WatchdogQuarantinesEveryTrialWithoutAborting) {

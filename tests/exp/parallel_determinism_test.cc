@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
 
 #include "exp/runner.h"
 
@@ -72,10 +73,11 @@ TEST(ParallelDeterminism, ThreadCountOverNumPlacementsClamps) {
   EXPECT_EQ(serial, run_with_threads(cfg, 64));
 }
 
-/// The materialized for_each_episode path must replay callbacks on the
-/// calling thread in exactly the serial episode order.
+/// for_each_episode must run every callback on the calling thread, in
+/// exactly the serial episode order.
 TEST(ParallelDeterminism, EpisodeCallbacksReplayInPlacementOrder) {
-  auto episodes_sig = [](std::size_t threads) {
+  const std::thread::id caller = std::this_thread::get_id();
+  auto episodes_sig = [&](std::size_t threads) {
     ScenarioConfig cfg;
     cfg.num_placements = 3;
     cfg.trials_per_placement = 3;
@@ -85,6 +87,7 @@ TEST(ParallelDeterminism, EpisodeCallbacksReplayInPlacementOrder) {
     Runner runner(cfg);
     std::string sig;
     runner.for_each_episode([&](const EpisodeContext& ep) {
+      EXPECT_EQ(std::this_thread::get_id(), caller) << "threads=" << threads;
       sig += "[";
       for (const auto& l : ep.failed_links) sig += l + ";";
       for (int a : ep.failed_ases) sig += std::to_string(a) + ",";

@@ -128,17 +128,6 @@ TEST(ShardedHistogram, SnapshotMergesAllShards) {
   EXPECT_DOUBLE_EQ(merged.max(), 8.0);
 }
 
-TEST(ShardedHistogram, SamplingRecordsEveryNth) {
-  Histogram h(1.0, 2.0, 16);
-  h.set_sample_every(10);
-  for (int i = 0; i < 1000; ++i) h.observe(5.0);
-  EXPECT_EQ(h.snapshot().count(), 100u);
-  // Back to 1: everything records again.
-  h.set_sample_every(1);
-  for (int i = 0; i < 10; ++i) h.observe(5.0);
-  EXPECT_EQ(h.snapshot().count(), 110u);
-}
-
 TEST(Registry, SameNameAndLabelsReturnsSameInstrument) {
   Registry r;
   Counter& a = r.counter("reqs_total", "requests");

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -142,12 +143,21 @@ exp::ScenarioConfig small_campaign(std::size_t threads) {
   return cfg;
 }
 
-std::set<Shape> trace_campaign(std::size_t threads) {
+/// Span tree of the small campaign, scored by run() or, with `record`,
+/// recorded by record_trace() into a string stream.
+std::set<Shape> trace_campaign(std::size_t threads, bool record = false) {
   TraceSink::install();
   exp::Runner runner(small_campaign(threads));
-  const auto results =
-      runner.run({exp::Algo::kTomo, exp::Algo::kNdEdge});
-  EXPECT_FALSE(results.empty());
+  if (record) {
+    std::ostringstream os;
+    std::string error;
+    const auto episodes = runner.record_trace(os, svc::SessionConfig{}, &error);
+    EXPECT_TRUE(episodes.has_value() && *episodes > 0) << error;
+  } else {
+    const auto results =
+        runner.run({exp::Algo::kTomo, exp::Algo::kNdEdge});
+    EXPECT_FALSE(results.empty());
+  }
   const auto shape = shape_of(TraceSink::snapshot());
   TraceSink::uninstall();
   return shape;
@@ -164,6 +174,18 @@ TEST(SpanDeterminism, ThreadCountDoesNotChangeSpanTree) {
   const auto serial = trace_campaign(1);
   const auto parallel = trace_campaign(3);
   EXPECT_EQ(serial, parallel);
+  // A recording replays each placement's episodes at its commit on the
+  // calling thread, so the observe and solve spans of the replay nest
+  // under the placement's commit span at every thread count.
+  const auto serial_record = trace_campaign(1, /*record=*/true);
+  EXPECT_EQ(serial_record, trace_campaign(3, /*record=*/true));
+  const auto count = [&](const std::string& name) {
+    return std::count_if(
+        serial_record.begin(), serial_record.end(),
+        [&](const Shape& s) { return std::get<0>(s) == name; });
+  };
+  EXPECT_EQ(count("checkpoint_commit"), 3);
+  EXPECT_GT(count("observe"), 0);
 }
 
 TEST(SpanDeterminism, EveryPlacementHasARootedTrialSpan) {

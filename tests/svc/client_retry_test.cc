@@ -206,12 +206,15 @@ TEST(ClientRetryTest, DuplicateObserveSeqIsDedupedServerSide) {
   HelloResponse hello;
   SetBaselineResponse base;
   ASSERT_TRUE(expect_response(
-      client->call(Request{HelloRequest{"dedup", SessionConfig{}}}, &error),
+      client->call(
+          Request{HelloRequest{"dedup", SessionConfig{}, std::nullopt}},
+          &error),
       &hello, &error))
       << error;
   ASSERT_TRUE(expect_response(
-      client->call(Request{SetBaselineRequest{"dedup", mesh}}, &error), &base,
-      &error))
+      client->call(Request{SetBaselineRequest{"dedup", mesh, std::nullopt}},
+                   &error),
+      &base, &error))
       << error;
 
   // The same observe frame sent twice — what a retry after a lost
@@ -266,12 +269,15 @@ TEST(ClientRetryTest, NewClientAfterSetBaselineHasEveryRoundApplied) {
   SetBaselineResponse base;
   ObserveResponse obs;
   ASSERT_TRUE(expect_response(
-      first->call(Request{HelloRequest{"epochs", SessionConfig{}}}, &error),
+      first->call(
+          Request{HelloRequest{"epochs", SessionConfig{}, std::nullopt}},
+          &error),
       &hello, &error))
       << error;
   ASSERT_TRUE(expect_response(
-      first->call(Request{SetBaselineRequest{"epochs", mesh}}, &error), &base,
-      &error))
+      first->call(Request{SetBaselineRequest{"epochs", mesh, std::nullopt}},
+                  &error),
+      &base, &error))
       << error;
   ASSERT_TRUE(expect_response(
       first->call(Request{ObserveRequest{"epochs", mesh, std::nullopt}},
@@ -283,8 +289,9 @@ TEST(ClientRetryTest, NewClientAfterSetBaselineHasEveryRoundApplied) {
   auto second = Client::connect(server.endpoint(), copts, &error);
   ASSERT_TRUE(second.has_value()) << error;
   ASSERT_TRUE(expect_response(
-      second->call(Request{SetBaselineRequest{"epochs", mesh}}, &error), &base,
-      &error))
+      second->call(Request{SetBaselineRequest{"epochs", mesh, std::nullopt}},
+                   &error),
+      &base, &error))
       << error;
   for (std::size_t round = 1; round <= 2; ++round) {
     ASSERT_TRUE(expect_response(
@@ -359,14 +366,17 @@ TEST(OverloadTest, MaxSessionsCapShedsNewSessionsNotAttaches) {
 
   HelloResponse hello;
   ASSERT_TRUE(expect_response(
-      client->call(Request{HelloRequest{"only", SessionConfig{}}}, &error),
+      client->call(Request{HelloRequest{"only", SessionConfig{}, std::nullopt}},
+                   &error),
       &hello, &error))
       << error;
   EXPECT_TRUE(hello.created);
 
   // A second session would exceed the cap.
   const auto rsp =
-      client->call(Request{HelloRequest{"another", SessionConfig{}}}, &error);
+      client->call(
+          Request{HelloRequest{"another", SessionConfig{}, std::nullopt}},
+          &error);
   ASSERT_TRUE(rsp.has_value()) << error;
   const auto* err = std::get_if<ErrorResponse>(&*rsp);
   ASSERT_NE(err, nullptr);
@@ -376,7 +386,8 @@ TEST(OverloadTest, MaxSessionsCapShedsNewSessionsNotAttaches) {
   HelloResponse again;
   error.clear();
   ASSERT_TRUE(expect_response(
-      client->call(Request{HelloRequest{"only", SessionConfig{}}}, &error),
+      client->call(Request{HelloRequest{"only", SessionConfig{}, std::nullopt}},
+                   &error),
       &again, &error))
       << error;
   EXPECT_FALSE(again.created);

@@ -165,7 +165,7 @@ class DurabilityTest : public ::testing::Test {
         &obs, &error))
         << error;
     EXPECT_EQ(obs.round, 2u);  // its journaled round, then this one
-    const auto rsp = c.call(Request{QueryRequest{bad}}, &error);
+    const auto rsp = c.call(Request{QueryRequest{bad, std::nullopt}}, &error);
     ASSERT_TRUE(rsp.has_value()) << error;
     const auto* err = std::get_if<ErrorResponse>(&*rsp);
     ASSERT_NE(err, nullptr) << serialize(*rsp);
@@ -204,8 +204,8 @@ TEST_F(DurabilityTest, EphemeralServerAdvertisesNoEpoch) {
   Client c = connect(server);
   HelloResponse hello;
   ASSERT_TRUE(expect_response(
-      c.call(Request{HelloRequest{"s", SessionConfig{}}}, &error), &hello,
-      &error))
+      c.call(Request{HelloRequest{"s", SessionConfig{}, std::nullopt}}, &error),
+      &hello, &error))
       << error;
   EXPECT_EQ(hello.epoch, 0u);
   server.stop();
@@ -219,8 +219,9 @@ TEST_F(DurabilityTest, EpochBumpsAndSessionSurvivesRestart) {
     Client c = connect(server);
     HelloResponse hello;
     ASSERT_TRUE(expect_response(
-        c.call(Request{HelloRequest{"noc", SessionConfig{}}}, &error), &hello,
-        &error))
+        c.call(Request{HelloRequest{"noc", SessionConfig{}, std::nullopt}},
+               &error),
+        &hello, &error))
         << error;
     EXPECT_TRUE(hello.created);
     EXPECT_EQ(hello.epoch, 1u);
@@ -232,8 +233,9 @@ TEST_F(DurabilityTest, EpochBumpsAndSessionSurvivesRestart) {
     Client c = connect(server);
     HelloResponse hello;
     ASSERT_TRUE(expect_response(
-        c.call(Request{HelloRequest{"noc", SessionConfig{}}}, &error), &hello,
-        &error))
+        c.call(Request{HelloRequest{"noc", SessionConfig{}, std::nullopt}},
+               &error),
+        &hello, &error))
         << error;
     // The session was recovered, not re-created, and the epoch moved.
     EXPECT_FALSE(hello.created);
@@ -253,8 +255,9 @@ TEST_F(DurabilityTest, RecoveredSessionKeepsItsConfig) {
     ASSERT_TRUE(server.start(&error)) << error;
     Client c = connect(server);
     HelloResponse hello;
-    ASSERT_TRUE(expect_response(c.call(Request{HelloRequest{"s", cfg}}, &error),
-                                &hello, &error))
+    ASSERT_TRUE(expect_response(
+        c.call(Request{HelloRequest{"s", cfg, std::nullopt}}, &error), &hello,
+        &error))
         << error;
     server.stop();
   }
@@ -263,14 +266,15 @@ TEST_F(DurabilityTest, RecoveredSessionKeepsItsConfig) {
   Client c = connect(server);
   // Attaching with the original config succeeds...
   HelloResponse hello;
-  ASSERT_TRUE(expect_response(c.call(Request{HelloRequest{"s", cfg}}, &error),
-                              &hello, &error))
+  ASSERT_TRUE(expect_response(
+      c.call(Request{HelloRequest{"s", cfg, std::nullopt}}, &error), &hello,
+      &error))
       << error;
   EXPECT_FALSE(hello.created);
   EXPECT_EQ(hello.config, cfg);
   // ...and a different config is refused, exactly as pre-restart.
   const auto rsp =
-      c.call(Request{HelloRequest{"s", SessionConfig{}}}, &error);
+      c.call(Request{HelloRequest{"s", SessionConfig{}, std::nullopt}}, &error);
   ASSERT_TRUE(rsp.has_value()) << error;
   EXPECT_NE(std::get_if<ErrorResponse>(&*rsp), nullptr);
   server.stop();
@@ -314,7 +318,9 @@ TEST_F(DurabilityTest, RestartedReplayIsByteIdenticalToUninterrupted) {
       std::string err;
       std::optional<Response> rsp;
       if (rec.type == TraceRecord::Type::kBaseline) {
-        rsp = c.call(Request{SetBaselineRequest{"replay", rec.mesh}}, &err);
+        rsp = c.call(
+            Request{SetBaselineRequest{"replay", rec.mesh, std::nullopt}},
+            &err);
       } else {
         rsp = c.call(Request{ObserveRequest{"replay", rec.mesh, rec.cp}},
                      &err);
@@ -327,7 +333,8 @@ TEST_F(DurabilityTest, RestartedReplayIsByteIdenticalToUninterrupted) {
   };
   const auto query = [&](Client& c) {
     std::string err;
-    const auto rsp = c.call(Request{QueryRequest{"replay"}}, &err);
+    const auto rsp = c.call(Request{QueryRequest{"replay", std::nullopt}},
+                            &err);
     EXPECT_TRUE(rsp.has_value()) << err;
     return rsp.has_value() ? serialize(*rsp) : std::string{};
   };
@@ -343,8 +350,8 @@ TEST_F(DurabilityTest, RestartedReplayIsByteIdenticalToUninterrupted) {
     Client c = connect(server);
     HelloResponse hello;
     ASSERT_TRUE(expect_response(
-        c.call(Request{HelloRequest{"replay", scfg}}, &error), &hello,
-        &error))
+        c.call(Request{HelloRequest{"replay", scfg, std::nullopt}}, &error),
+        &hello, &error))
         << error;
     feed_range(c, 0, feed.size(), &want);
     want_query = query(c);
@@ -359,8 +366,8 @@ TEST_F(DurabilityTest, RestartedReplayIsByteIdenticalToUninterrupted) {
     Client c = connect(server);
     HelloResponse hello;
     ASSERT_TRUE(expect_response(
-        c.call(Request{HelloRequest{"replay", scfg}}, &error), &hello,
-        &error))
+        c.call(Request{HelloRequest{"replay", scfg, std::nullopt}}, &error),
+        &hello, &error))
         << error;
     feed_range(c, 0, cut, &got);
     server.stop();
@@ -387,7 +394,7 @@ TEST_F(DurabilityTest, BatchWatermarksSurviveRestartAndDedupRedelivery) {
   batch.session = "s";
   batch.src = "agent-1";
   for (std::uint64_t seq = 1; seq <= 3; ++seq) {
-    batch.items.push_back(ObserveItem{seq, mesh, std::nullopt});
+    batch.items.push_back(ObserveItem{seq, mesh, std::nullopt, std::nullopt});
   }
   std::string error;
   {
@@ -397,12 +404,13 @@ TEST_F(DurabilityTest, BatchWatermarksSurviveRestartAndDedupRedelivery) {
     HelloResponse hello;
     SetBaselineResponse base;
     ASSERT_TRUE(expect_response(
-        c.call(Request{HelloRequest{"s", SessionConfig{}}}, &error), &hello,
-        &error))
+        c.call(Request{HelloRequest{"s", SessionConfig{}, std::nullopt}},
+               &error),
+        &hello, &error))
         << error;
     ASSERT_TRUE(expect_response(
-        c.call(Request{SetBaselineRequest{"s", mesh}}, &error), &base,
-        &error))
+        c.call(Request{SetBaselineRequest{"s", mesh, std::nullopt}}, &error),
+        &base, &error))
         << error;
     ObserveBatchResponse rsp;
     ASSERT_TRUE(expect_response(c.call(Request{batch}, &error), &rsp, &error))
@@ -428,7 +436,8 @@ TEST_F(DurabilityTest, BatchWatermarksSurviveRestartAndDedupRedelivery) {
   // An empty watermark probe agrees.
   ObserveBatchResponse probe;
   ASSERT_TRUE(expect_response(
-      c.call(Request{ObserveBatchRequest{"s", "agent-1", {}}}, &error),
+      c.call(Request{ObserveBatchRequest{"s", "agent-1", {}, std::nullopt}},
+             &error),
       &probe, &error))
       << error;
   EXPECT_EQ(probe.ack, 3u);
@@ -446,12 +455,13 @@ TEST_F(DurabilityTest, ObserveRetryCacheSurvivesRestart) {
     HelloResponse hello;
     SetBaselineResponse base;
     ASSERT_TRUE(expect_response(
-        c.call(Request{HelloRequest{"s", SessionConfig{}}}, &error), &hello,
-        &error))
+        c.call(Request{HelloRequest{"s", SessionConfig{}, std::nullopt}},
+               &error),
+        &hello, &error))
         << error;
     ASSERT_TRUE(expect_response(
-        c.call(Request{SetBaselineRequest{"s", mesh}}, &error), &base,
-        &error))
+        c.call(Request{SetBaselineRequest{"s", mesh, std::nullopt}}, &error),
+        &base, &error))
         << error;
     const auto rsp = c.call(
         Request{ObserveRequest{"s", mesh, std::nullopt, std::uint64_t{1}}},
@@ -471,8 +481,8 @@ TEST_F(DurabilityTest, ObserveRetryCacheSurvivesRestart) {
   ASSERT_TRUE(retry.has_value()) << error;
   EXPECT_EQ(serialize(*retry), first_response);
   QueryResponse q;
-  ASSERT_TRUE(expect_response(c.call(Request{QueryRequest{"s"}}, &error), &q,
-                              &error))
+  ASSERT_TRUE(expect_response(
+      c.call(Request{QueryRequest{"s", std::nullopt}}, &error), &q, &error))
       << error;
   server.stop();
 }
@@ -489,12 +499,13 @@ TEST_F(DurabilityTest, SnapshotBoundsReplayAndPrunesSegments) {
     HelloResponse hello;
     SetBaselineResponse base;
     ASSERT_TRUE(expect_response(
-        c.call(Request{HelloRequest{"s", SessionConfig{}}}, &error), &hello,
-        &error))
+        c.call(Request{HelloRequest{"s", SessionConfig{}, std::nullopt}},
+               &error),
+        &hello, &error))
         << error;
     ASSERT_TRUE(expect_response(
-        c.call(Request{SetBaselineRequest{"s", mesh}}, &error), &base,
-        &error))
+        c.call(Request{SetBaselineRequest{"s", mesh, std::nullopt}}, &error),
+        &base, &error))
         << error;
     for (int r = 0; r < 10; ++r) {
       ObserveResponse obs;
@@ -533,12 +544,13 @@ TEST_F(DurabilityTest, CorruptJournalQuarantinesAndFallsBackToAmnesia) {
     HelloResponse hello;
     SetBaselineResponse base;
     ASSERT_TRUE(expect_response(
-        c.call(Request{HelloRequest{"s", SessionConfig{}}}, &error), &hello,
-        &error))
+        c.call(Request{HelloRequest{"s", SessionConfig{}, std::nullopt}},
+               &error),
+        &hello, &error))
         << error;
     ASSERT_TRUE(expect_response(
-        c.call(Request{SetBaselineRequest{"s", mesh}}, &error), &base,
-        &error))
+        c.call(Request{SetBaselineRequest{"s", mesh, std::nullopt}}, &error),
+        &base, &error))
         << error;
     ObserveResponse obs;
     ASSERT_TRUE(expect_response(
@@ -560,7 +572,7 @@ TEST_F(DurabilityTest, CorruptJournalQuarantinesAndFallsBackToAmnesia) {
   Client c = connect(server);
   // The session is gone (amnesia), answered with the structured code the
   // agent protocol reacts to...
-  const auto rsp = c.call(Request{QueryRequest{"s"}}, &error);
+  const auto rsp = c.call(Request{QueryRequest{"s", std::nullopt}}, &error);
   ASSERT_TRUE(rsp.has_value()) << error;
   const auto* err = std::get_if<ErrorResponse>(&*rsp);
   ASSERT_NE(err, nullptr);
@@ -571,8 +583,8 @@ TEST_F(DurabilityTest, CorruptJournalQuarantinesAndFallsBackToAmnesia) {
   // ...and re-hello starts a fresh durable life for the name.
   HelloResponse hello;
   ASSERT_TRUE(expect_response(
-      c.call(Request{HelloRequest{"s", SessionConfig{}}}, &error), &hello,
-      &error))
+      c.call(Request{HelloRequest{"s", SessionConfig{}, std::nullopt}}, &error),
+      &hello, &error))
       << error;
   EXPECT_TRUE(hello.created);
   server.stop();
@@ -661,14 +673,17 @@ TEST_F(DurabilityTest, StateWrittenBeforeObserveSharedTheWatermarksRecovers) {
     ASSERT_TRUE(server.start(&error)) << error;
     Client c = connect(server);
     for (const Request& req :
-         {Request{HelloRequest{"legacy", *cfg}},
-          Request{SetBaselineRequest{"legacy", mesh(up)}},
+         {Request{HelloRequest{"legacy", *cfg, std::nullopt}},
+          Request{SetBaselineRequest{"legacy", mesh(up), std::nullopt}},
           Request{ObserveRequest{"legacy", mesh(up), std::nullopt, 1}},
           Request{ObserveRequest{"legacy", mesh(up), std::nullopt, 2}},
           Request{ObserveBatchRequest{
-              "legacy", "agent-1", {ObserveItem{1, mesh(up), std::nullopt}}}},
+              "legacy",
+              "agent-1",
+              {ObserveItem{1, mesh(up), std::nullopt, std::nullopt}},
+              std::nullopt}},
           Request{ObserveRequest{"legacy", mesh(down), std::nullopt, 3}},
-          Request{QueryRequest{"legacy"}}}) {
+          Request{QueryRequest{"legacy", std::nullopt}}}) {
       const auto rsp = c.call(req, &error);
       ASSERT_TRUE(rsp.has_value()) << error;
       ASSERT_EQ(std::get_if<ErrorResponse>(&*rsp), nullptr)
@@ -682,7 +697,8 @@ TEST_F(DurabilityTest, StateWrittenBeforeObserveSharedTheWatermarksRecovers) {
   Server server(durable_options());
   ASSERT_TRUE(server.start(&error)) << error;
   Client c = connect(server);
-  const auto query = c.call(Request{QueryRequest{"legacy"}}, &error);
+  const auto query = c.call(Request{QueryRequest{"legacy", std::nullopt}},
+                            &error);
   ASSERT_TRUE(query.has_value()) << error;
   EXPECT_EQ(serialize(*query), want_query);
   EXPECT_TRUE(session_files("legacy", ".quarantined").empty());
@@ -710,12 +726,13 @@ TEST_F(DurabilityTest, FsyncAlwaysServesAndRecoversIdentically) {
     HelloResponse hello;
     SetBaselineResponse base;
     ASSERT_TRUE(expect_response(
-        c.call(Request{HelloRequest{"s", SessionConfig{}}}, &error), &hello,
-        &error))
+        c.call(Request{HelloRequest{"s", SessionConfig{}, std::nullopt}},
+               &error),
+        &hello, &error))
         << error;
     ASSERT_TRUE(expect_response(
-        c.call(Request{SetBaselineRequest{"s", mesh}}, &error), &base,
-        &error))
+        c.call(Request{SetBaselineRequest{"s", mesh, std::nullopt}}, &error),
+        &base, &error))
         << error;
     ObserveResponse obs;
     ASSERT_TRUE(expect_response(

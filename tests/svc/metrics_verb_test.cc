@@ -262,14 +262,16 @@ TEST_F(MetricsVerbTest, ScrapesStayWellFormedUnderConcurrentSessions) {
     fleet.emplace_back([this, i, &stop] {
       Client c = connect();
       std::string error;
-      HelloRequest hello{"scrape-" + std::to_string(i), SessionConfig{}};
+      HelloRequest hello{"scrape-" + std::to_string(i), SessionConfig{},
+                         std::nullopt};
       (void)c.call(Request{hello}, &error);
       while (!stop.load(std::memory_order_relaxed)) {
         // Query before a baseline exists: an error response, which still
         // bumps the per-op error counters — exactly the mutation we want
         // racing the scrape.
         (void)c.call(
-            Request{QueryRequest{"scrape-" + std::to_string(i)}}, &error);
+            Request{QueryRequest{"scrape-" + std::to_string(i), std::nullopt}},
+            &error);
         (void)c.call(Request{StatsRequest{}}, &error);
       }
     });

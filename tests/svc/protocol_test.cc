@@ -69,18 +69,19 @@ TEST(Protocol, EveryRequestTypeRoundTripsByteIdentical) {
   cfg.algo = "nd-edge";
   cfg.granularity = "per-prefix";
   const std::vector<Request> requests = {
-      HelloRequest{"noc-1", cfg},
-      SetBaselineRequest{"noc-1", sample_mesh()},
+      HelloRequest{"noc-1", cfg, std::nullopt},
+      SetBaselineRequest{"noc-1", sample_mesh(), std::nullopt},
       ObserveRequest{"noc-1", sample_mesh(), sample_cp()},
       ObserveRequest{"noc-1", sample_mesh(), std::nullopt},
       ObserveRequest{"noc-1", sample_mesh(), std::nullopt, 17},
-      ObserveBatchRequest{"noc-1", "sensor-0", {}},
+      ObserveBatchRequest{"noc-1", "sensor-0", {}, std::nullopt},
       ObserveBatchRequest{
           "noc-1",
           "sensor-0",
-          {ObserveItem{4, sample_mesh(), std::nullopt},
-           ObserveItem{5, sample_mesh(), sample_cp()}}},
-      QueryRequest{"noc-1"},
+          {ObserveItem{4, sample_mesh(), std::nullopt, std::nullopt},
+           ObserveItem{5, sample_mesh(), sample_cp(), std::nullopt}},
+          std::nullopt},
+      QueryRequest{"noc-1", std::nullopt},
       StatsRequest{},
       MetricsRequest{},
       ShutdownRequest{},
@@ -133,7 +134,7 @@ TEST(Protocol, EpochZeroIsOmittedFromHelloFrames) {
 }
 
 TEST(Protocol, RequestFramesCarryVersionAndOp) {
-  const std::string frame = serialize(Request{QueryRequest{"s"}});
+  const std::string frame = serialize(Request{QueryRequest{"s", std::nullopt}});
   const auto j = Json::parse(frame);
   ASSERT_TRUE(j.has_value());
   ASSERT_NE(j->find("v"), nullptr);
@@ -218,7 +219,10 @@ TEST(Protocol, ParseRequestRejectsHostileFrames) {
 TEST(Protocol, ParseBatchRejectsHostileFrames) {
   // A valid batch frame to mutate: serialize one, then break invariants.
   const std::string good = serialize(Request{ObserveBatchRequest{
-      "noc-1", "sensor-0", {ObserveItem{3, sample_mesh(), std::nullopt}}}});
+      "noc-1",
+      "sensor-0",
+      {ObserveItem{3, sample_mesh(), std::nullopt, std::nullopt}},
+      std::nullopt}});
   std::string error;
   ASSERT_TRUE(parse_request(good, &error).has_value()) << error;
   ASSERT_NE(good.find(R"("op":"observe_batch")"), std::string::npos)
@@ -245,15 +249,17 @@ TEST(Protocol, ParseBatchRejectsHostileFrames) {
   const Request twice = ObserveBatchRequest{
       "noc-1",
       "sensor-0",
-      {ObserveItem{5, sample_mesh(), std::nullopt},
-       ObserveItem{5, sample_mesh(), std::nullopt}}};
+      {ObserveItem{5, sample_mesh(), std::nullopt, std::nullopt},
+       ObserveItem{5, sample_mesh(), std::nullopt, std::nullopt}},
+      std::nullopt};
   EXPECT_FALSE(parse_request(serialize(twice), &error).has_value());
   EXPECT_NE(error.find("strictly increasing"), std::string::npos) << error;
   const Request backwards = ObserveBatchRequest{
       "noc-1",
       "sensor-0",
-      {ObserveItem{5, sample_mesh(), std::nullopt},
-       ObserveItem{4, sample_mesh(), std::nullopt}}};
+      {ObserveItem{5, sample_mesh(), std::nullopt, std::nullopt},
+       ObserveItem{4, sample_mesh(), std::nullopt, std::nullopt}},
+      std::nullopt};
   EXPECT_FALSE(parse_request(serialize(backwards), &error).has_value());
 }
 

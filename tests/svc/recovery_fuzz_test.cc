@@ -194,7 +194,10 @@ class RecoveryFuzz : public ::testing::Test {
     };
     const auto batch = [](const probe::Mesh& m, std::uint64_t seq) {
       return Request{ObserveBatchRequest{
-          "fuzz", "agent-1", {ObserveItem{seq, m, std::nullopt}}}};
+          "fuzz",
+          "agent-1",
+          {ObserveItem{seq, m, std::nullopt, std::nullopt}},
+          std::nullopt}};
     };
     Server server(options(root_ + "/template"));
     std::string error;
@@ -202,23 +205,25 @@ class RecoveryFuzz : public ::testing::Test {
     auto c = Client::connect(server.endpoint(), &error);
     ASSERT_TRUE(c.has_value()) << error;
     for (const Request& req :
-         {Request{HelloRequest{"fuzz", config_}},
-          Request{SetBaselineRequest{"fuzz", up}}, observe(up, 0, false),
+         {Request{HelloRequest{"fuzz", config_, std::nullopt}},
+          Request{SetBaselineRequest{"fuzz", up, std::nullopt}},
+          observe(up, 0, false),
           observe(down, 1, true), batch(up, 1), batch(down, 2),
           observe(down, 2, false), observe(up, 3, false),
           // SNAPSHOT at LSN 8; the tail follows.
           batch(down, 3), observe(down, 4, true),
-          Request{SetBaselineRequest{"fuzz", up}}, observe(down, 0, false),
+          Request{SetBaselineRequest{"fuzz", up, std::nullopt}},
+          observe(down, 0, false),
           batch(down, 1), observe(up, 5, false),
-          Request{HelloRequest{"sibling", config_}},
-          Request{SetBaselineRequest{"sibling", up}},
+          Request{HelloRequest{"sibling", config_, std::nullopt}},
+          Request{SetBaselineRequest{"sibling", up, std::nullopt}},
           Request{ObserveRequest{"sibling", down, std::nullopt}},
           Request{ObserveRequest{"sibling", down, std::nullopt}}}) {
       const auto rsp = call(*c, req);
       ASSERT_TRUE(rsp.has_value());
       ASSERT_EQ(std::get_if<ErrorResponse>(&*rsp), nullptr) << serialize(*rsp);
     }
-    const auto q = call(*c, Request{QueryRequest{"sibling"}});
+    const auto q = call(*c, Request{QueryRequest{"sibling", std::nullopt}});
     ASSERT_TRUE(q.has_value());
     ASSERT_NE(serialize(*q).find("\"diagnosis\""), std::string::npos);
     sibling_query_ = serialize(*q);
@@ -312,11 +317,12 @@ class RecoveryFuzz : public ::testing::Test {
       ADD_FAILURE() << error;
       return false;
     }
-    const auto sibling = call(*c, Request{QueryRequest{"sibling"}});
+    const auto sibling =
+        call(*c, Request{QueryRequest{"sibling", std::nullopt}});
     EXPECT_TRUE(sibling.has_value() && serialize(*sibling) == sibling_query_)
         << (sibling ? serialize(*sibling) : "no response");
 
-    const auto query = call(*c, Request{QueryRequest{"fuzz"}});
+    const auto query = call(*c, Request{QueryRequest{"fuzz", std::nullopt}});
     if (!query.has_value()) return false;
     const auto* err = std::get_if<ErrorResponse>(&*query);
     *quarantined = err != nullptr;
@@ -331,7 +337,8 @@ class RecoveryFuzz : public ::testing::Test {
     } else {
       EXPECT_NE(std::get_if<QueryResponse>(&*query), nullptr);
       // A mutated config recovers as a different, valid one.
-      const auto hello = call(*c, Request{HelloRequest{"fuzz", config_}});
+      const auto hello =
+          call(*c, Request{HelloRequest{"fuzz", config_, std::nullopt}});
       if (!hello.has_value()) return false;
       const auto* herr = std::get_if<ErrorResponse>(&*hello);
       EXPECT_TRUE(herr == nullptr ||

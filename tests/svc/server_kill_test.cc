@@ -240,7 +240,9 @@ class ServerKillSoak : public ::testing::Test {
     std::string error;
     ObserveBatchResponse rsp;
     EXPECT_TRUE(expect_response(
-        c.call(Request{ObserveBatchRequest{session(i), src(i), {}}}, &error),
+        c.call(
+            Request{ObserveBatchRequest{session(i), src(i), {}, std::nullopt}},
+            &error),
         &rsp, &error))
         << error;
     return rsp;
@@ -251,7 +253,8 @@ class ServerKillSoak : public ::testing::Test {
     std::string error;
     QueryResponse rsp;
     EXPECT_TRUE(expect_response(
-        c.call(Request{QueryRequest{session(i)}}, &error), &rsp, &error))
+        c.call(Request{QueryRequest{session(i), std::nullopt}}, &error), &rsp,
+        &error))
         << error;
     return rsp.diagnosis;
   }
@@ -275,7 +278,8 @@ class ServerKillSoak : public ::testing::Test {
       ASSERT_TRUE(c.has_value()) << error;
       QueryResponse rsp;
       ASSERT_TRUE(expect_response(
-          c->call(Request{QueryRequest{session(i)}}, &error), &rsp, &error))
+          c->call(Request{QueryRequest{session(i), std::nullopt}}, &error),
+          &rsp, &error))
           << error;
       ASSERT_TRUE(rsp.diagnosis.has_value())
           << "reference agent " << i << " fired no diagnosis";
@@ -390,7 +394,8 @@ TEST_F(ServerKillSoak, CorruptSegmentQuarantinesAndFleetReconverges) {
   {
     Client c = connect();
     std::string error;
-    const auto rsp = c.call(Request{QueryRequest{session(0)}}, &error);
+    const auto rsp = c.call(Request{QueryRequest{session(0), std::nullopt}},
+                            &error);
     ASSERT_TRUE(rsp.has_value()) << error;
     const auto* err = std::get_if<ErrorResponse>(&*rsp);
     ASSERT_NE(err, nullptr);

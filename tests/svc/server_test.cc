@@ -48,8 +48,9 @@ TEST_F(ServerTest, HelloCreatesThenAttaches) {
   std::string error;
   HelloResponse h1;
   ASSERT_TRUE(expect_response(
-      a.call(Request{HelloRequest{"noc", SessionConfig{}}}, &error), &h1,
-      &error))
+      a.call(Request{HelloRequest{"noc", SessionConfig{}, std::nullopt}},
+             &error),
+      &h1, &error))
       << error;
   EXPECT_TRUE(h1.created);
 
@@ -58,8 +59,9 @@ TEST_F(ServerTest, HelloCreatesThenAttaches) {
   HelloResponse h2;
   error.clear();
   ASSERT_TRUE(expect_response(
-      b.call(Request{HelloRequest{"noc", SessionConfig{}}}, &error), &h2,
-      &error))
+      b.call(Request{HelloRequest{"noc", SessionConfig{}, std::nullopt}},
+             &error),
+      &h2, &error))
       << error;
   EXPECT_FALSE(h2.created);
   EXPECT_EQ(h2.config, h1.config);
@@ -67,7 +69,8 @@ TEST_F(ServerTest, HelloCreatesThenAttaches) {
   // Attaching with a different config is refused, not silently ignored.
   SessionConfig other;
   other.alarm_threshold = 7;
-  const auto rsp = b.call(Request{HelloRequest{"noc", other}}, &error);
+  const auto rsp = b.call(Request{HelloRequest{"noc", other, std::nullopt}},
+                          &error);
   ASSERT_TRUE(rsp.has_value()) << error;
   const auto* err = std::get_if<ErrorResponse>(&*rsp);
   ASSERT_NE(err, nullptr);
@@ -90,8 +93,8 @@ TEST_F(ServerTest, ObserveWithoutSessionOrBaselineIsAnError) {
   HelloResponse hello;
   error.clear();
   ASSERT_TRUE(expect_response(
-      c.call(Request{HelloRequest{"s", SessionConfig{}}}, &error), &hello,
-      &error))
+      c.call(Request{HelloRequest{"s", SessionConfig{}, std::nullopt}}, &error),
+      &hello, &error))
       << error;
   rsp = c.call(Request{ObserveRequest{"s", empty, std::nullopt}}, &error);
   ASSERT_TRUE(rsp.has_value()) << error;
@@ -109,8 +112,9 @@ TEST_F(ServerTest, RoundWithPairsOutOfBaselineOrderIsRejected) {
   std::string error;
   HelloResponse hello;
   ASSERT_TRUE(expect_response(
-      c.call(Request{HelloRequest{"order", SessionConfig{}}}, &error), &hello,
-      &error))
+      c.call(Request{HelloRequest{"order", SessionConfig{}, std::nullopt}},
+             &error),
+      &hello, &error))
       << error;
   probe::Mesh mesh;
   for (std::size_t k = 0; k < 2; ++k) {
@@ -127,8 +131,8 @@ TEST_F(ServerTest, RoundWithPairsOutOfBaselineOrderIsRejected) {
   }
   SetBaselineResponse base;
   ASSERT_TRUE(expect_response(
-      c.call(Request{SetBaselineRequest{"order", mesh}}, &error), &base,
-      &error))
+      c.call(Request{SetBaselineRequest{"order", mesh, std::nullopt}}, &error),
+      &base, &error))
       << error;
   probe::Mesh swapped = mesh;
   std::swap(swapped.paths[0], swapped.paths[1]);
@@ -189,8 +193,9 @@ TEST_F(ServerTest, ScenarioReplayThroughSocketMatchesRecording) {
   // And the session retains the last diagnosis for `query`.
   QueryResponse q;
   error.clear();
-  ASSERT_TRUE(expect_response(c.call(Request{QueryRequest{"replay"}}, &error),
-                              &q, &error))
+  ASSERT_TRUE(expect_response(
+      c.call(Request{QueryRequest{"replay", std::nullopt}}, &error), &q,
+      &error))
       << error;
   EXPECT_TRUE(q.diagnosis.has_value());
   EXPECT_GT(q.round, 0u);
@@ -317,10 +322,13 @@ TEST_F(ServerTest, TwelveConcurrentSessionsMakeProgress) {
       HelloResponse hello;
       SetBaselineResponse base;
       if (!expect_response(
-              c->call(Request{HelloRequest{session, SessionConfig{}}}, &error),
+              c->call(
+                  Request{HelloRequest{session, SessionConfig{}, std::nullopt}},
+                  &error),
               &hello, &error) ||
           !expect_response(
-              c->call(Request{SetBaselineRequest{session, mesh}}, &error),
+              c->call(Request{SetBaselineRequest{session, mesh, std::nullopt}},
+                      &error),
               &base, &error)) {
         ++failures;
         return;
@@ -338,8 +346,9 @@ TEST_F(ServerTest, TwelveConcurrentSessionsMakeProgress) {
       }
       QueryResponse q;
       error.clear();
-      if (!expect_response(c->call(Request{QueryRequest{session}}, &error), &q,
-                           &error)) {
+      if (!expect_response(
+              c->call(Request{QueryRequest{session, std::nullopt}}, &error),
+              &q, &error)) {
         ++failures;
       }
     });
@@ -480,8 +489,9 @@ TEST(ServerUnixSocketTest, ServesOverUnixDomainSocket) {
   ASSERT_TRUE(c.has_value()) << error;
   HelloResponse hello;
   ASSERT_TRUE(expect_response(
-      c->call(Request{HelloRequest{"u", SessionConfig{}}}, &error), &hello,
-      &error))
+      c->call(Request{HelloRequest{"u", SessionConfig{}, std::nullopt}},
+              &error),
+      &hello, &error))
       << error;
   EXPECT_TRUE(hello.created);
   server.stop();

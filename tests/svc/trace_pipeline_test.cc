@@ -250,7 +250,9 @@ TEST_F(TracePipeline, OneTraceIdSpansAgentAndServerInTheMergedTimeline) {
     ASSERT_TRUE(expect_response(
         c.call(Request{ObserveBatchRequest{
                    session(0), src(0),
-                   {ObserveItem{1, std::move(mesh), std::nullopt}}}},
+                   {ObserveItem{1, std::move(mesh), std::nullopt,
+                                std::nullopt}},
+                   std::nullopt}},
                &error),
         &rsp, &error))
         << error;

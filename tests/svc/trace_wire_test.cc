@@ -39,25 +39,28 @@ std::string reserialized(const Request& req) {
 /// exactly the frames previous releases emitted. These strings are the
 /// compatibility surface — do not regenerate them from the code.
 TEST(TraceWire, TracelessFramesAreBytePinned) {
-  EXPECT_EQ(serialize(Request{QueryRequest{"s"}}),
+  EXPECT_EQ(serialize(Request{QueryRequest{"s", std::nullopt}}),
             R"({"v":1,"op":"query","session":"s"})");
   SessionConfig cfg;
-  EXPECT_EQ(serialize(Request{HelloRequest{"s", cfg}}),
+  EXPECT_EQ(serialize(Request{HelloRequest{"s", cfg, std::nullopt}}),
             R"({"v":1,"op":"hello","session":"s","config":{"threshold":1,)"
             R"("algo":"nd-bgpigp","granularity":"per-neighbor"}})");
-  EXPECT_EQ(serialize(Request{ObserveBatchRequest{"s", "a", {}}}),
+  EXPECT_EQ(serialize(Request{ObserveBatchRequest{"s", "a", {}, std::nullopt}}),
             R"({"v":1,"op":"observe_batch","session":"s","src":"a",)"
             R"("items":[]})");
 }
 
 TEST(TraceWire, TracelessFramesContainNoTraceKey) {
   const std::vector<Request> requests = {
-      HelloRequest{"s", SessionConfig{}},
-      SetBaselineRequest{"s", tiny_mesh()},
+      HelloRequest{"s", SessionConfig{}, std::nullopt},
+      SetBaselineRequest{"s", tiny_mesh(), std::nullopt},
       ObserveRequest{"s", tiny_mesh(), std::nullopt, 3},
       ObserveBatchRequest{
-          "s", "a", {ObserveItem{1, tiny_mesh(), std::nullopt}}},
-      QueryRequest{"s"},
+          "s",
+          "a",
+          {ObserveItem{1, tiny_mesh(), std::nullopt, std::nullopt}},
+          std::nullopt},
+      QueryRequest{"s", std::nullopt},
   };
   for (const Request& req : requests) {
     EXPECT_EQ(serialize(req).find("\"trace\""), std::string::npos)
@@ -73,7 +76,8 @@ TEST(TraceWire, TracedRequestsRoundTripByteIdentical) {
   ObserveBatchRequest batch{
       "s", "a",
       {ObserveItem{1, tiny_mesh(), std::nullopt, tc},
-       ObserveItem{2, tiny_mesh(), std::nullopt, tc.child("x", 2)}}};
+       ObserveItem{2, tiny_mesh(), std::nullopt, tc.child("x", 2)}},
+      std::nullopt};
   batch.trace = tc;
   const std::vector<Request> requests = {
       HelloRequest{"s", SessionConfig{}, tc},
