@@ -756,10 +756,11 @@ std::optional<CampaignResult> Runner::campaign(
   if (persist && !ck.save(opts.checkpoint_path, error)) return std::nullopt;
   // A contiguous chunk, so the committed prefix never gets a hole.
   const std::size_t resumed = ck.completed_placements;
+  const std::size_t todo = cfg_.num_placements - resumed;
   const std::size_t last =
-      opts.max_new_placements == 0
-          ? cfg_.num_placements
-          : std::min(cfg_.num_placements, resumed + opts.max_new_placements);
+      resumed + (opts.max_new_placements == 0
+                     ? todo
+                     : std::min(todo, opts.max_new_placements));
   std::string commit_error;
   const bool ok = map_episodes(
       cfg_, need_lg, resumed, last, sink,

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -94,6 +95,27 @@ TEST(CheckpointResume, ChunkedResumeMatchesStraightRunAcrossThreadCounts) {
     EXPECT_TRUE(chunked.quarantined.empty());
     std::remove(ck_path.c_str());
   }
+
+  // After a first chunk, a chunk budget past the campaign's end (here the
+  // largest one) runs exactly the placements that are left.
+  ScenarioConfig cfg = base;
+  cfg.num_threads = 4;
+  const std::string ck_path = ::testing::TempDir() + "/netd_resume_rest.json";
+  std::remove(ck_path.c_str());
+  CampaignOptions opts;
+  opts.checkpoint_path = ck_path;
+  opts.resume = true;
+  std::optional<CampaignResult> rest;
+  for (const std::size_t chunk :
+       {std::size_t{1}, std::numeric_limits<std::size_t>::max()}) {
+    opts.max_new_placements = chunk;
+    Runner runner(cfg);
+    rest = runner.run_campaign(kAlgos, opts);
+    ASSERT_TRUE(rest.has_value());
+  }
+  EXPECT_TRUE(rest->complete());
+  EXPECT_EQ(csv_of(*rest, kAlgos), ref_csv);
+  std::remove(ck_path.c_str());
 }
 
 TEST(CheckpointResume, RecordModeResumeIsByteIdenticalDespiteTornTail) {
