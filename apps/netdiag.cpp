@@ -430,7 +430,7 @@ int cmd_run(util::Flags& flags) {
            "                            are identical for every value)\n"
            "            [--record FILE [--threshold K]]  write the episodes\n"
            "                            as a svc event trace instead of\n"
-           "                            scoring them\n"
+           "                            scoring them (no --algos, --csv)\n"
            "crash-safe campaigns:\n"
            "            [--checkpoint FILE]  persist completed placements\n"
            "                            atomically; a killed run restarted\n"
@@ -454,6 +454,18 @@ int cmd_run(util::Flags& flags) {
            "                            histograms in Prometheus text format\n";
     for (const auto& e : flags.errors()) std::cerr << "  " << e << "\n";
     return flags.ok() ? 0 : 2;
+  }
+
+  // A flag the chosen mode would ignore is refused, never dropped.
+  const std::string record = flags.get("record");
+  for (const std::string f : {"algos", "csv", "threshold"}) {
+    const bool needs_record = f == "threshold";
+    if (flags.has(f) && needs_record == record.empty()) {
+      std::cerr << "netdiag: --" << f
+                << (record.empty() ? " needs --record\n"
+                                   : " does not apply to --record\n");
+      return 2;
+    }
   }
 
   exp::ScenarioConfig cfg;
@@ -528,15 +540,15 @@ int cmd_run(util::Flags& flags) {
 
   exp::Runner runner(cfg);
   std::string error;
-  if (const std::string f = flags.get("record"); !f.empty()) {
+  if (!record.empty()) {
     svc::SessionConfig scfg;
     scfg.alarm_threshold = flags.get_uint("threshold", 1);
-    const auto res = runner.record_campaign(f, scfg, copts, &error);
+    const auto res = runner.record_campaign(record, scfg, copts, &error);
     if (!res) {
       std::cerr << "netdiag: " << error << "\n";
       return 1;
     }
-    std::cout << "wrote " << f << " (" << res->episodes << " episodes)\n";
+    std::cout << "wrote " << record << " (" << res->episodes << " episodes)\n";
     if (campaign) print_campaign_summary(*res);
     return 0;
   }

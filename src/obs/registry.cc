@@ -199,7 +199,10 @@ std::vector<Sample> Registry::collect() const {
       s.help = e->help;
       s.type = e->type;
       s.labels = e->labels;
-      if (e->counter) s.value = static_cast<double>(e->counter->value());
+      if (e->counter) {
+        s.value = static_cast<double>(e->counter->value());
+        s.exemplar_trace_id = e->counter->exemplar();
+      }
       if (e->gauge) s.value = e->gauge->value();
       if (e->hist) s.hist = e->hist->snapshot();
       out.push_back(std::move(s));

@@ -14,10 +14,11 @@
 //      and rendering keep working (instruments simply read as zero), so
 //      the `metrics` wire verb and --metrics-out stay functional in both
 //      configurations — only the numbers go dark.
-//   3. No teardown hazards. The registry is a leaky function-local
-//      static; instruments live forever once registered, so references
+//   3. No teardown hazards. The global registry is a leaky function-local
+//      static; its instruments live forever once registered, so references
 //      cached at call sites never dangle, including during static
-//      destruction of other objects.
+//      destruction of other objects. An owned registry (one per
+//      svc::Server) keeps its instruments exactly as long as it lives.
 //
 // Gauges and counters are safe to mutate from any thread with no external
 // locking; collect() takes a consistent-enough snapshot (each value is
@@ -38,7 +39,8 @@
 
 namespace netd::obs {
 
-/// Monotonically increasing event count.
+/// Monotonically increasing event count, optionally carrying an exemplar:
+/// the trace id of its last traced increment.
 class Counter {
  public:
   void inc(std::uint64_t delta = 1) noexcept {
@@ -48,12 +50,25 @@ class Counter {
     (void)delta;
 #endif
   }
+  /// inc(delta) that also makes a nonzero `trace_id` the exemplar; a zero
+  /// id keeps the previous one.
+  void inc(std::uint64_t delta, std::uint64_t trace_id) noexcept {
+    inc(delta);
+#ifndef NETD_OBS_DISABLED
+    if (trace_id != 0) exemplar_.store(trace_id, std::memory_order_relaxed);
+#endif
+  }
   [[nodiscard]] std::uint64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);
+  }
+  /// Trace id of the last traced increment; 0 = none yet.
+  [[nodiscard]] std::uint64_t exemplar() const noexcept {
+    return exemplar_.load(std::memory_order_relaxed);
   }
 
  private:
   std::atomic<std::uint64_t> v_{0};
+  std::atomic<std::uint64_t> exemplar_{0};
 };
 
 /// Last-write-wins instantaneous value.
@@ -105,8 +120,9 @@ class Histogram {
 enum class SampleType { kCounter, kGauge, kHistogram };
 
 /// One collected time-series point, decoupled from the live instruments
-/// so renderers can mix registry output with externally produced samples
-/// (the service's ServiceMetrics are exposed this way).
+/// so renderers can mix several registries' output (the global one and a
+/// server's own) with the few values computed at read time (a server's
+/// uptime, fault and quarantine counts).
 struct Sample {
   std::string name;  ///< Prometheus metric name, e.g. "netd_solve_total"
   std::string help;  ///< one-line # HELP text ("" = omit)
@@ -117,9 +133,10 @@ struct Sample {
   util::Histogram hist;           ///< histograms (value unused)
   /// Nonzero => the sample line carries an OpenMetrics-style exemplar
   /// (` # {trace_id="0x..."} 1`) linking the series to one concrete
-  /// trace. Counters/gauges only; the numeric value stays the last
-  /// space-separated token, so plain Prometheus line parsers keep
-  /// working if they strip everything from " # " on.
+  /// trace; collect() copies it from Counter::exemplar(). Counters and
+  /// gauges only; the numeric value stays the last space-separated
+  /// token, so plain Prometheus line parsers keep working if they strip
+  /// everything from " # " on.
   std::uint64_t exemplar_trace_id = 0;
 };
 
@@ -133,6 +150,8 @@ class Registry {
   /// The process-wide registry every instrumented subsystem uses.
   [[nodiscard]] static Registry& global();
 
+  /// A registry of the caller's own (one per svc::Server, so two servers
+  /// in one process never share counts); its instruments die with it.
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;

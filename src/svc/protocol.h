@@ -14,9 +14,9 @@
 //                 single frame; per-(session, src) seq dedup + an ack
 //                 watermark give redelivering agents exactly-once ingest
 //   query         fetch the latest diagnosis of a session
-//   stats         service request/latency counters (util::Histogram)
-//   metrics       Prometheus text-format exposition of the obs registry
-//                 plus the service counters (operator scrape surface)
+//   stats         service request/latency counters (the server's registry)
+//   metrics       Prometheus text-format exposition of the global obs
+//                 registry plus the server's (operator scrape surface)
 //   events        drain the server's structured event ring (slow
 //                 requests, sheds, dedups, quarantines, fsync stalls)
 //                 from a cursor, capped — the `netdiag tail` surface
@@ -243,7 +243,7 @@ struct QueryResponse {
 };
 
 struct StatsResponse {
-  std::string stats;  ///< ServiceMetrics::to_json document, verbatim
+  std::string stats;  ///< Server::stats_json() document, verbatim
 };
 
 struct MetricsResponse {

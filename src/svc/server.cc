@@ -5,10 +5,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "core/json_export.h"
@@ -21,84 +23,92 @@ namespace netd::svc {
 
 namespace {
 
-obs::Counter& append_failure_counter() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      "netd_svc_journal_append_failures_total",
-      "Journal writes that failed; the session degraded to ephemeral");
-  return c;
+using Labels = decltype(obs::Sample::labels);
+
+/// The server's lifetime counters, each named once: `key` is its stats
+/// document key and netd_svc_<key>_total its metric family. Registration,
+/// both renderings and CounterId read this table; the stats document
+/// lists the rows up to kDedupHits.
+struct CounterSpec {
+  const char* key;
+  const char* help;
+};
+constexpr CounterSpec kCounters[] = {
+    {"connections", "Accepted connections"},
+    {"sessions_created", "Sessions created"},
+    {"malformed_frames", "Frames that failed to parse"},
+    {"oversized_frames", "Frames over the size cap"},
+    {"disconnects_mid_request", "Connections lost mid-request"},
+    {"idle_timeouts", "Connections cut by the idle deadline"},
+    {"shed_requests", "Requests refused as overloaded"},
+    {"dedup_hits", "Observations skipped as already applied"},
+    {"journal_append_failures",
+     "Journal writes that failed; the session degraded to ephemeral"},
+    {"journal_sessions_quarantined",
+     "Sessions whose journal was quarantined at recovery (amnesia)"},
+    {"journal_replayed_records",
+     "Journal records replayed into sessions at recovery"},
+    {"journal_sessions_recovered",
+     "Sessions rebuilt from their journal at server start"},
+};
+enum CounterId : std::size_t {
+  kConnections, kSessionsCreated, kMalformedFrames, kOversizedFrames,
+  kDisconnectsMidRequest, kIdleTimeouts, kShedRequests, kDedupHits,
+  kJournalAppendFailures, kJournalSessionsQuarantined,
+  kJournalReplayedRecords, kJournalSessionsRecovered, kNumCounters
+};
+static_assert(std::size(kCounters) == kNumCounters);
+
+std::string family(const CounterSpec& c) {
+  return std::string("netd_svc_") + c.key + "_total";
 }
 
-obs::Counter& session_quarantined_counter() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      "netd_svc_journal_sessions_quarantined_total",
-      "Sessions whose journal was quarantined at recovery (amnesia)");
-  return c;
-}
+/// Op names in the order of Request's alternatives.
+constexpr std::array<const char*, std::variant_size_v<Request>> kOpNames = {
+    "hello",   "set_baseline", "observe", "observe_batch", "query",
+    "stats",   "metrics",      "events",  "shutdown"};
 
-obs::Counter& replayed_record_counter() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      "netd_svc_journal_replayed_records_total",
-      "Journal records replayed into sessions at recovery");
-  return c;
-}
+constexpr const char* kRequestsFamily = "netd_svc_requests_total";
+constexpr const char* kErrorsFamily = "netd_svc_request_errors_total";
+constexpr const char* kLatencyFamily = "netd_svc_request_latency_us";
 
-obs::Counter& session_recovered_counter() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      "netd_svc_journal_sessions_recovered_total",
-      "Sessions rebuilt from their journal at server start");
-  return c;
-}
-
-const char* op_name(const Request& req) {
-  return std::visit(
-      [](const auto& r) -> const char* {
-        using T = std::decay_t<decltype(r)>;
-        if constexpr (std::is_same_v<T, HelloRequest>) {
-          return "hello";
-        } else if constexpr (std::is_same_v<T, SetBaselineRequest>) {
-          return "set_baseline";
-        } else if constexpr (std::is_same_v<T, ObserveRequest>) {
-          return "observe";
-        } else if constexpr (std::is_same_v<T, ObserveBatchRequest>) {
-          return "observe_batch";
-        } else if constexpr (std::is_same_v<T, QueryRequest>) {
-          return "query";
-        } else if constexpr (std::is_same_v<T, StatsRequest>) {
-          return "stats";
-        } else if constexpr (std::is_same_v<T, MetricsRequest>) {
-          return "metrics";
-        } else if constexpr (std::is_same_v<T, EventsRequest>) {
-          return "events";
-        } else {
-          return "shutdown";
-        }
-      },
-      req);
+/// What both verbs compute per request instead of counting: the campaign
+/// provider's document (queried outside any lock — it may read a
+/// checkpoint) and its quarantined count, so neither verb ever serves a
+/// stale count, and the injector's live fault counts.
+struct ReadTime {
+  std::optional<Json> campaign;
+  std::uint64_t quarantined_trials = 0;
+  FaultCounters faults;
+};
+ReadTime read_time(const Server::Options& opts,
+                   const FaultInjector* injector) {
+  ReadTime out;
+  if (opts.campaign_stats) {
+    out.campaign = opts.campaign_stats();
+    const Json* q = out.campaign->find("quarantined");
+    out.quarantined_trials = q != nullptr ? q->as_uint().value_or(0) : 0;
+  }
+  if (injector != nullptr) out.faults = injector->counters();
+  return out;
 }
 
 /// The trace id a request carries, for tagging metrics exemplars and ring
-/// events. Batches without a batch-level trace fall back to their first
-/// item's — the ids all share one shipping pass in practice.
-std::uint64_t req_trace_id(const Request& req) {
-  return std::visit(
-      [](const auto& r) -> std::uint64_t {
-        using T = std::decay_t<decltype(r)>;
-        if constexpr (std::is_same_v<T, HelloRequest> ||
-                      std::is_same_v<T, SetBaselineRequest> ||
-                      std::is_same_v<T, ObserveRequest> ||
-                      std::is_same_v<T, QueryRequest>) {
-          return r.trace.has_value() ? r.trace->trace_id : 0;
-        } else if constexpr (std::is_same_v<T, ObserveBatchRequest>) {
-          if (r.trace.has_value()) return r.trace->trace_id;
-          for (const auto& item : r.items) {
-            if (item.trace.has_value()) return item.trace->trace_id;
-          }
-          return 0;
-        } else {
-          return 0;
-        }
-      },
-      req);
+/// events; 0 = untraced. A batch without a batch-level trace falls back to
+/// its first traced item's — the ids all share one shipping pass in
+/// practice.
+template <typename R>
+std::uint64_t trace_id_of(const R& r) {
+  if constexpr (std::is_same_v<R, ObserveBatchRequest>) {
+    if (r.trace.has_value()) return r.trace->trace_id;
+    for (const ObserveItem& item : r.items) {
+      if (item.trace.has_value()) return item.trace->trace_id;
+    }
+    return 0;
+  } else if constexpr (requires { r.trace; }) {
+    return r.trace.has_value() ? r.trace->trace_id : 0;
+  }
+  return 0;
 }
 
 /// An explicit span parent from a wire trace field; invalid (so the span
@@ -117,20 +127,30 @@ obs::SpanContext span_parent(const std::optional<obs::TraceContext>& trace) {
 
 Server::Server(Options opts) : opts_(std::move(opts)) {
   if (opts_.num_threads == 0) opts_.num_threads = 1;
+  // Registered up front: every series scrapes from the first request
+  // (zero-valued), and counting never looks a name up.
+  for (const CounterSpec& c : kCounters) {
+    counters_.push_back(&metrics_.counter(family(c), c.help));
+  }
+  for (std::size_t i = 0; i < kOpNames.size(); ++i) {
+    const Labels op{{"op", kOpNames[i]}};
+    ops_[i].requests =
+        &metrics_.counter(kRequestsFamily, "Requests handled, by op", op);
+    ops_[i].errors = &metrics_.counter(
+        kErrorsFamily, "Requests answered with an error, by op", op);
+    ops_[i].latency_us = &metrics_.histogram(
+        kLatencyFamily, "Request handling latency (microseconds), by op", op);
+  }
 }
 
 Server::~Server() { stop(); }
 
 bool Server::start(std::string* error) {
   start_time_ = std::chrono::steady_clock::now();
-  // Eager registration: every netd_svc_journal_* family appears in the
-  // metrics verb from the first scrape, zero-valued, instead of popping
-  // into existence at its first increment (dashboards hate that).
+  // Eager registration: the journals' global netd_svc_journal_* families
+  // scrape from the first request, zero-valued, instead of popping into
+  // existence at their first increment (dashboards hate that).
   register_journal_metrics();
-  append_failure_counter();
-  session_quarantined_counter();
-  replayed_record_counter();
-  session_recovered_counter();
   int bound_port = opts_.endpoint.port;
   listener_ = listen_on(opts_.endpoint, error, &bound_port);
   if (!listener_.valid()) return false;
@@ -204,46 +224,61 @@ void Server::stop() {
   pool_.reset();  // drains remaining handlers
 }
 
-ServiceMetrics Server::metrics_snapshot(std::optional<Json>* campaign) const {
-  // The campaign provider may do file I/O (it typically reads a
-  // checkpoint); call it before taking the metrics lock. Done on every
-  // request, so quarantined_trials tracks the live campaign rather than
-  // whatever the checkpoint said when the server attached.
-  if (opts_.campaign_stats) *campaign = opts_.campaign_stats();
-
-  ServiceMetrics snapshot;
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    snapshot = metrics_;
-  }
-  if (injector_ != nullptr) {
-    // The injector keeps its own counts (it runs outside metrics_mu_);
-    // fold the live values in at read time.
-    snapshot.faults = injector_->counters();
-  }
-  if (campaign->has_value()) {
-    const Json* q = (*campaign)->find("quarantined");
-    if (const auto n = q != nullptr ? q->as_uint() : std::nullopt) {
-      snapshot.quarantined_trials = *n;
-    }
-  }
-  return snapshot;
-}
-
 double Server::uptime_seconds() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start_time_)
       .count();
 }
 
+Json stats_document(const std::vector<obs::Sample>& samples,
+                    const FaultCounters& faults,
+                    std::uint64_t quarantined_trials) {
+  const obs::Sample absent;  // a series the samples lack reads as zero
+  const auto find = [&samples, &absent](std::string_view name,
+                                        const Labels& labels)
+      -> const obs::Sample& {
+    for (const obs::Sample& s : samples) {
+      if (s.name == name && s.labels == labels) return s;
+    }
+    return absent;
+  };
+  const auto count = [](const obs::Sample& s) {
+    return Json::uinteger(static_cast<std::uint64_t>(s.value));
+  };
+  Json j = Json::object();
+  for (std::size_t i = 0; i <= kDedupHits; ++i) {
+    j.set(kCounters[i].key, count(find(family(kCounters[i]), {})));
+  }
+  j.set("quarantined_trials", Json::uinteger(quarantined_trials));
+  j.set("faults", faults.to_json());
+  Json ops = Json::object();
+  // Sorted samples list each family's ops in name order.
+  for (const obs::Sample& req : samples) {
+    if (req.name != kRequestsFamily || req.value < 1) continue;
+    const auto& h = find(kLatencyFamily, req.labels).hist;
+    Json op = Json::object();
+    op.set("count", count(req));
+    op.set("errors", count(find(kErrorsFamily, req.labels)));
+    Json lat_us = Json::object();
+    lat_us.set("p50", Json::number(h.percentile(0.5)));
+    lat_us.set("p90", Json::number(h.percentile(0.9)));
+    lat_us.set("p99", Json::number(h.percentile(0.99)));
+    lat_us.set("max", Json::number(h.max()));
+    op.set("lat_us", std::move(lat_us));
+    ops.set(req.labels.at(0).second, std::move(op));
+  }
+  j.set("ops", std::move(ops));
+  return j;
+}
+
 std::string Server::stats_json() const {
-  std::optional<Json> campaign;
-  ServiceMetrics snapshot = metrics_snapshot(&campaign);
-  Json j = snapshot.to_json();
-  if (campaign) j.set("campaign", std::move(*campaign));
-  // Appended after the pinned ServiceMetrics keys so pre-existing
-  // consumers see an unchanged prefix. Millisecond resolution keeps the
-  // number lexeme short; both values come from the steady clock.
+  ReadTime now = read_time(opts_, injector_.get());
+  Json j = stats_document(metrics_.collect(), now.faults,
+                          now.quarantined_trials);
+  if (now.campaign) j.set("campaign", std::move(*now.campaign));
+  // Appended after the pinned keys so pre-existing consumers see an
+  // unchanged prefix. Millisecond resolution keeps the number lexeme
+  // short; both values come from the steady clock.
   const double up = uptime_seconds();
   j.set("uptime_seconds", Json::number(std::round(up * 1000.0) / 1000.0));
   // Named to make the clock domain unmistakable: this is
@@ -258,16 +293,36 @@ std::string Server::stats_json() const {
 }
 
 std::string Server::metrics_prometheus() const {
-  std::optional<Json> campaign;
-  const ServiceMetrics snapshot = metrics_snapshot(&campaign);
-  std::vector<obs::Sample> extras = snapshot.to_samples();
-  obs::Sample up;
-  up.name = "netd_svc_uptime_seconds";
-  up.help = "Seconds since the server started (monotonic clock)";
-  up.type = obs::SampleType::kGauge;
-  up.value = uptime_seconds();
-  extras.push_back(std::move(up));
-  return obs::render_global_prometheus(extras);
+  const ReadTime now = read_time(opts_, injector_.get());
+  std::vector<obs::Sample> samples = metrics_.collect();
+  // The only series built by hand: values read at request time.
+  const auto add = [&samples](const char* name, const char* help,
+                              double value) -> obs::Sample& {
+    obs::Sample& s = samples.emplace_back();
+    s.name = name;
+    s.help = help;
+    s.value = value;
+    return s;
+  };
+  add("netd_svc_quarantined_trials_total",
+      "Watchdog-quarantined trials in the fronted campaign",
+      static_cast<double>(now.quarantined_trials));
+  const std::pair<const char*, std::uint64_t> fault_kinds[] = {
+      {"delay", now.faults.delays},
+      {"drop", now.faults.drops},
+      {"truncate", now.faults.truncations},
+      {"corrupt", now.faults.corruptions},
+      {"reset", now.faults.resets},
+  };
+  for (const auto& [kind, v] : fault_kinds) {
+    add("netd_svc_faults_total", "Chaos faults injected into response frames",
+        static_cast<double>(v))
+        .labels = {{"kind", kind}};
+  }
+  add("netd_svc_uptime_seconds",
+      "Seconds since the server started (monotonic clock)", uptime_seconds())
+      .type = obs::SampleType::kGauge;
+  return obs::render_global_prometheus(samples);
 }
 
 Response Server::overloaded_response() const {
@@ -287,17 +342,11 @@ void Server::accept_loop() {
       ::close(fd);
       break;
     }
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      ++metrics_.connections;
-    }
+    counters_[kConnections]->inc();
     // Overload shedding: every worker is busy and the waiting line is at
     // its cap — tell the peer to come back instead of queueing unbounded.
     if (opts_.max_pending > 0 && pending_.load() >= opts_.max_pending) {
-      {
-        std::lock_guard<std::mutex> lock(metrics_mu_);
-        ++metrics_.shed_requests;
-      }
+      counters_[kShedRequests]->inc();
       obs::EventRing::record(obs::EventKind::kShed, "accept");
       (void)write_all(fd, serialize(Response{overloaded_response()}) + "\n",
                       1000);
@@ -342,10 +391,7 @@ void Server::serve_connection(int fd) {
       if (opts_.idle_timeout_ms > 0 && idle_ms >= opts_.idle_timeout_ms) {
         // Slow loris: no complete frame within the budget. Cut the
         // connection and free this worker for peers that do talk.
-        {
-          std::lock_guard<std::mutex> lock(metrics_mu_);
-          ++metrics_.idle_timeouts;
-        }
+        counters_[kIdleTimeouts]->inc();
         break;
       }
       continue;
@@ -353,15 +399,11 @@ void Server::serve_connection(int fd) {
     idle_ms = 0;
     if (status == LineReader::Status::kEof) break;
     if (status == LineReader::Status::kError) {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      ++metrics_.disconnects_mid_request;
+      counters_[kDisconnectsMidRequest]->inc();
       break;
     }
     if (status == LineReader::Status::kOversize) {
-      {
-        std::lock_guard<std::mutex> lock(metrics_mu_);
-        ++metrics_.oversized_frames;
-      }
+      counters_[kOversizedFrames]->inc();
       // The stream cannot be resynchronized past an unterminated giant
       // frame; report and drop the connection.
       (void)send_frame(fd, serialize(Response{ErrorResponse{
@@ -374,10 +416,7 @@ void Server::serve_connection(int fd) {
     std::string parse_error;
     const auto req = parse_request(line, &parse_error);
     if (!req) {
-      {
-        std::lock_guard<std::mutex> lock(metrics_mu_);
-        ++metrics_.malformed_frames;
-      }
+      counters_[kMalformedFrames]->inc();
       // bad_frame: the stream is still framed correctly, so a retrying
       // client may resend on this same connection.
       if (!send_frame(fd, serialize(Response{ErrorResponse{
@@ -402,15 +441,17 @@ void Server::serve_connection(int fd) {
     const double us = std::chrono::duration<double, std::micro>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-    const std::uint64_t trace_id = req_trace_id(*req);
-    {
-      std::lock_guard<std::mutex> lock(metrics_mu_);
-      metrics_.record(op_name(*req), ok, us, trace_id);
-    }
+    const std::uint64_t trace_id =
+        std::visit([](const auto& r) { return trace_id_of(r); }, *req);
+    const OpSeries& op = ops_[req->index()];
+    op.latency_us->observe(us);
+    if (!ok) op.errors->inc();
+    op.requests->inc(1, trace_id);
     if (opts_.slow_request_ms > 0 &&
         us >= static_cast<double>(opts_.slow_request_ms) * 1000.0) {
-      obs::EventRing::record(obs::EventKind::kSlowRequest, op_name(*req),
-                             trace_id, static_cast<std::uint64_t>(us));
+      obs::EventRing::record(obs::EventKind::kSlowRequest,
+                             kOpNames[req->index()], trace_id,
+                             static_cast<std::uint64_t>(us));
     }
     if (!written) break;
   }
@@ -515,10 +556,7 @@ void Server::set_baseline(Session& s, probe::Mesh mesh) {
 
 void Server::count_dedups(const std::string& session, const std::string& src,
                           std::uint64_t trace_id, std::size_t n) {
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    metrics_.dedup_hits += n;
-  }
+  counters_[kDedupHits]->inc(n);
   // The deduplicated count rides in the event's dur_us.
   obs::EventRing::record(obs::EventKind::kDedup,
                          src == kObserveSrc ? session : session + "/" + src,
@@ -569,7 +607,7 @@ void Server::journal_append(Session& s, const std::string& payload) {
     // Durability is best-effort once the disk misbehaves: the session
     // keeps serving from memory (agents see nothing), but a restart now
     // loses it — counted loudly instead of failing the request.
-    append_failure_counter().inc();
+    counters_[kJournalAppendFailures]->inc();
     s.journal.reset();
     return;
   }
@@ -592,15 +630,14 @@ std::unique_ptr<SessionJournal> Server::open_journal(
 
 std::shared_ptr<Server::Session> Server::recover_one_session(
     std::unique_ptr<SessionJournal> journal) {
-  obs::Counter& replayed = replayed_record_counter();
   // Content-level corruption (framing was already validated by open):
   // quarantine the whole journal and report no session — the amnesia
   // protocol takes over for its agents.
-  auto corrupt = [&journal]() -> std::shared_ptr<Session> {
+  auto corrupt = [this, &journal]() -> std::shared_ptr<Session> {
     std::string error;
     obs::EventRing::record(obs::EventKind::kQuarantine, journal->dir());
     (void)journal->quarantine_all(&error);
-    session_quarantined_counter().inc();
+    counters_[kJournalSessionsQuarantined]->inc();
     return nullptr;
   };
   std::string error;
@@ -673,7 +710,7 @@ std::shared_ptr<Server::Session> Server::recover_one_session(
       if (s != nullptr) return corrupt();
       s = session_from(*rec);
       if (s == nullptr) return corrupt();
-      replayed.inc();
+      counters_[kJournalReplayedRecords]->inc();
       continue;
     }
     // Every other record carries a mesh, and a seq only moves its
@@ -701,7 +738,7 @@ std::shared_ptr<Server::Session> Server::recover_one_session(
     } else {
       return corrupt();
     }
-    replayed.inc();
+    counters_[kJournalReplayedRecords]->inc();
   }
   if (s == nullptr) {
     // A journal with neither snapshot nor hello record names no session
@@ -714,7 +751,6 @@ std::shared_ptr<Server::Session> Server::recover_one_session(
 }
 
 bool Server::recover_sessions(std::string* error) {
-  obs::Counter& recovered = session_recovered_counter();
   for (const auto& dir_name : list_session_dirs(opts_.state_dir)) {
     const auto session_name = decode_session_dir(dir_name);
     if (!session_name.has_value()) continue;  // not a directory we wrote
@@ -725,7 +761,7 @@ bool Server::recover_sessions(std::string* error) {
       if (stats.quarantined) {
         // Framing-level corruption: the journal already renamed its
         // files aside; this session's agents will re-hello and re-ship.
-        session_quarantined_counter().inc();
+        counters_[kJournalSessionsQuarantined]->inc();
         obs::EventRing::record(obs::EventKind::kQuarantine, dir_name);
         continue;
       }
@@ -735,14 +771,11 @@ bool Server::recover_sessions(std::string* error) {
     auto session = recover_one_session(std::move(journal));
     if (session == nullptr) continue;  // quarantined during replay
     sessions_.emplace(*session_name, std::move(session));
-    recovered.inc();
+    counters_[kJournalSessionsRecovered]->inc();
   }
   // Recovered sessions count toward sessions_created so the stats verb
   // keeps describing "sessions this server knows", not "hellos served".
-  {
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    metrics_.sessions_created += sessions_.size();
-  }
+  counters_[kSessionsCreated]->inc(sessions_.size());
   return true;
 }
 
@@ -763,12 +796,9 @@ Response Server::handle(const HelloRequest& req) {
     return HelloResponse{req.session, false, it->second->config, epoch_};
   }
   if (opts_.max_sessions > 0 && sessions_.size() >= opts_.max_sessions) {
-    {
-      std::lock_guard<std::mutex> mlock(metrics_mu_);
-      ++metrics_.shed_requests;
-    }
+    counters_[kShedRequests]->inc();
     obs::EventRing::record(obs::EventKind::kShed, "hello:" + req.session,
-                           req.trace.has_value() ? req.trace->trace_id : 0);
+                           trace_id_of(req));
     return overloaded_response();
   }
   auto session = std::make_shared<Session>(req.config, *resolved);
@@ -782,14 +812,11 @@ Response Server::handle(const HelloRequest& req) {
     } else {
       // Either IO trouble or a quarantined predecessor; the session runs
       // ephemeral (and a quarantine was already counted by open()).
-      append_failure_counter().inc();
+      counters_[kJournalAppendFailures]->inc();
     }
   }
   sessions_.emplace(req.session, std::move(session));
-  {
-    std::lock_guard<std::mutex> mlock(metrics_mu_);
-    ++metrics_.sessions_created;
-  }
+  counters_[kSessionsCreated]->inc();
   return HelloResponse{req.session, true, req.config, epoch_};
 }
 
@@ -825,8 +852,7 @@ Response Server::handle(const ObserveRequest& req) {
       ingest(*session, kObserveSrc, req.seq, req.mesh, cp, /*live=*/true);
   if (in.rejected) return *in.rejected;
   if (in.deduped) {
-    count_dedups(req.session, kObserveSrc,
-                 req.trace.has_value() ? req.trace->trace_id : 0, 1);
+    count_dedups(req.session, kObserveSrc, trace_id_of(req), 1);
   }
   // Answered from session state, so a deduplicated retry gets what its
   // round earned: that round is still the latest.
@@ -879,12 +905,7 @@ Response Server::handle(const ObserveBatchRequest& req) {
     rsp.alarmed = session->ts.alarmed();
   }
   if (rsp.deduped > 0) {
-    std::uint64_t trace_id = req.trace.has_value() ? req.trace->trace_id : 0;
-    if (trace_id == 0 && !req.items.empty() &&
-        req.items.front().trace.has_value()) {
-      trace_id = req.items.front().trace->trace_id;
-    }
-    count_dedups(req.session, req.src, trace_id, rsp.deduped);
+    count_dedups(req.session, req.src, trace_id_of(req), rsp.deduped);
   }
   return rsp;
 }

@@ -8,10 +8,11 @@
 // pool. Sessions are create-or-attach by name: any connection may feed or
 // query any session, which is what lets a prober fleet share one
 // troubleshooter state. Per-session mutexes serialize observation rounds;
-// a registry mutex guards the name table; a metrics mutex guards the
-// counters. Nothing a peer sends — malformed frames, oversized frames,
-// a disconnect mid-request — can take the server down: bad frames earn
-// an ErrorResponse (or a teardown of that one connection), never a crash.
+// a registry mutex guards the name table; counting takes no lock (the
+// server's own obs::Registry). Nothing a peer sends — malformed frames,
+// oversized frames, a disconnect mid-request — can take the server down:
+// bad frames earn an ErrorResponse (or a teardown of that one connection),
+// never a crash.
 //
 // Fault tolerance on top of that baseline:
 //   - idle deadline: a worker polls instead of blocking; a peer that
@@ -44,6 +45,7 @@
 //     session to ephemeral rather than failing requests.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -56,11 +58,13 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <variant>
+#include <vector>
 
 #include "core/troubleshooter.h"
+#include "obs/registry.h"
 #include "svc/fault.h"
 #include "svc/journal.h"
-#include "svc/metrics.h"
 #include "svc/protocol.h"
 #include "svc/socket.h"
 #include "util/thread_pool.h"
@@ -106,10 +110,10 @@ class Server {
     /// Journal records between snapshots; bounds replay time on restart.
     std::size_t snapshot_every = 256;
     /// When set, the stats verb merges this provider's document under a
-    /// "campaign" key and mirrors its "quarantined" count into
-    /// metrics.quarantined_trials — how a server fronting a checkpointed
-    /// experiment campaign surfaces its progress. Called outside the
-    /// metrics lock on every stats request; must be thread-safe.
+    /// "campaign" key, and both verbs mirror its "quarantined" count as
+    /// quarantined_trials — how a server fronting a checkpointed
+    /// experiment campaign surfaces its progress. Called outside any lock
+    /// on every stats and metrics request; must be thread-safe.
     std::function<Json()> campaign_stats;
   };
 
@@ -134,17 +138,17 @@ class Server {
   /// Endpoint actually bound (TCP port resolved when 0 was requested).
   [[nodiscard]] const Endpoint& endpoint() const { return opts_.endpoint; }
 
-  /// Current metrics as the stats-verb JSON document. The historical
-  /// ServiceMetrics fields render byte-identically to previous releases;
-  /// `uptime_seconds` and `start_monotonic_ms` (both steady-clock
-  /// derived, so replay determinism is unaffected; the name says
-  /// monotonic so nobody reads it as a Unix timestamp) are appended
-  /// after them.
+  /// Current metrics as the stats-verb JSON document: stats_document over
+  /// this server's registry, then the campaign document (when a provider
+  /// is set), then `uptime_seconds` and `start_monotonic_ms` (both
+  /// steady-clock derived, so replay determinism is unaffected; the name
+  /// says monotonic so nobody reads it as a Unix timestamp).
   [[nodiscard]] std::string stats_json() const;
 
   /// Current metrics in Prometheus text exposition format: the global
-  /// obs registry plus this server's ServiceMetrics (netd_svc_*) and
-  /// uptime. Backs the `metrics` verb.
+  /// obs registry merged with this server's (netd_svc_*), plus the
+  /// read-time quarantined, fault and uptime series. Backs the `metrics`
+  /// verb.
   [[nodiscard]] std::string metrics_prometheus() const;
 
  private:
@@ -239,16 +243,21 @@ class Server {
       const std::string& dir_name, SessionJournal::RecoveryStats* stats,
       std::string* error) const;
 
-  /// Shared read path of the stats and metrics verbs: queries the
-  /// campaign provider (outside the metrics lock — it may read a
-  /// checkpoint), snapshots the counters, folds the live injector fault
-  /// counts in, and refreshes quarantined_trials from the campaign
-  /// document so neither verb ever serves a stale count.
-  [[nodiscard]] ServiceMetrics metrics_snapshot(
-      std::optional<Json>* campaign) const;
   [[nodiscard]] double uptime_seconds() const;
 
+  /// One op's series, labeled {op="..."}; indexed by Request::index().
+  struct OpSeries {
+    obs::Counter* requests;
+    obs::Counter* errors;
+    obs::Histogram* latency_us;
+  };
+
   Options opts_;
+  /// This server's instruments, all registered by the constructor;
+  /// declared before everything that counts into them.
+  obs::Registry metrics_;
+  std::vector<obs::Counter*> counters_;
+  std::array<OpSeries, std::variant_size_v<Request>> ops_{};
   Fd listener_;
   /// Recovery epoch (0 = ephemeral server); bumped in start().
   std::uint64_t epoch_ = 0;
@@ -265,9 +274,6 @@ class Server {
   std::mutex registry_mu_;
   std::map<std::string, std::shared_ptr<Session>> sessions_;
 
-  mutable std::mutex metrics_mu_;
-  ServiceMetrics metrics_;
-
   std::mutex lifecycle_mu_;
   std::condition_variable shutdown_cv_;
   bool shutdown_requested_ = false;
@@ -279,5 +285,14 @@ class Server {
   std::condition_variable conns_cv_;  ///< signaled when a connection ends
   std::set<int> live_conns_;
 };
+
+/// The stats verb's document over a server registry's samples (sorted, as
+/// Registry::collect() returns them) and two values read per request:
+/// {"connections":N,...,"quarantined_trials":Q,"faults":{...},"ops":{"<op>":
+/// {"count":n,"errors":e,"lat_us":{"p50":..,"p90":..,"p99":..,"max":..}},...}}
+/// with ops in name order once requested. A golden test pins the bytes.
+[[nodiscard]] Json stats_document(const std::vector<obs::Sample>& samples,
+                                  const FaultCounters& faults,
+                                  std::uint64_t quarantined_trials);
 
 }  // namespace netd::svc

@@ -174,6 +174,20 @@ TEST(Render, CounterAndGaugeExactText) {
             "netd_x_total 7\n");
 }
 
+TEST(Render, CounterCarriesItsLastTracedIncrementAsExemplar) {
+  Registry r;
+  Counter& c = r.counter("netd_req_total", "Requests");
+  c.inc(1, 0xabc);
+  c.inc(1, 0);  // untraced: keeps the exemplar
+  c.inc();
+  EXPECT_EQ(c.value(), 3u);
+  EXPECT_EQ(c.exemplar(), 0xabcu);
+  EXPECT_EQ(render_prometheus(r.collect()),
+            "# HELP netd_req_total Requests\n"
+            "# TYPE netd_req_total counter\n"
+            "netd_req_total 3 # {trace_id=\"0x0000000000000abc\"} 1\n");
+}
+
 TEST(Render, HistogramBucketsAreCumulative) {
   Registry r;
   Histogram& h = r.histogram("lat_us", "Latency", {}, 1.0, 2.0, 8);

@@ -1,5 +1,6 @@
 // The observability surface of the service: the Prometheus `metrics`
-// verb, the byte-pinned stats document, the per-request refresh of
+// verb, the byte-pinned stats document, the agreement of both with one
+// per-server registry, request exemplars, the per-request refresh of
 // campaign-mirrored counters, and the appended uptime fields.
 #include <gtest/gtest.h>
 
@@ -12,11 +13,14 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "obs/registry.h"
+#include "obs/trace_context.h"
 #include "svc/client.h"
+#include "svc/fault.h"
 #include "svc/json.h"
-#include "svc/metrics.h"
 #include "svc/protocol.h"
 #include "svc/server.h"
 
@@ -24,26 +28,39 @@ namespace netd::svc {
 namespace {
 
 /// The stats verb's document is a compatibility surface: downstream
-/// dashboards parse it. This pins ServiceMetrics::to_json byte-for-byte;
-/// a failure here means a wire-visible format change.
+/// dashboards parse it. This pins stats_document, the renderer behind
+/// the stats verb, byte-for-byte over a registry filled under the
+/// server's metric names; a failure here means a wire-visible format
+/// change.
 TEST(ServiceMetricsGolden, ToJsonIsBytePinned) {
-  ServiceMetrics m;
-  m.connections = 3;
-  m.sessions_created = 1;
-  m.malformed_frames = 2;
-  m.oversized_frames = 0;
-  m.disconnects_mid_request = 1;
-  m.idle_timeouts = 0;
-  m.shed_requests = 4;
-  m.dedup_hits = 5;
-  m.quarantined_trials = 6;
-  m.faults.delays = 1;
-  m.faults.drops = 2;
-  m.faults.resets = 3;
-  m.record("observe", true, 10.0);
-  m.record("observe", false, 100.0);
+  obs::Registry r;
+  const auto count = [&r](const char* name, std::uint64_t n) {
+    r.counter(name, "").inc(n);
+  };
+  count("netd_svc_connections_total", 3);
+  count("netd_svc_sessions_created_total", 1);
+  count("netd_svc_malformed_frames_total", 2);
+  count("netd_svc_oversized_frames_total", 0);
+  count("netd_svc_disconnects_mid_request_total", 1);
+  count("netd_svc_idle_timeouts_total", 0);
+  count("netd_svc_shed_requests_total", 4);
+  count("netd_svc_dedup_hits_total", 5);
+  const std::vector<std::pair<std::string, std::string>> observe{
+      {"op", "observe"}};
+  r.counter("netd_svc_requests_total", "", observe).inc(2);
+  r.counter("netd_svc_request_errors_total", "", observe).inc(1);
+  obs::Histogram& lat =
+      r.histogram("netd_svc_request_latency_us", "", observe);
+  lat.observe(10.0);
+  lat.observe(100.0);
+  // Registered but never requested: not listed.
+  (void)r.counter("netd_svc_requests_total", "", {{"op", "hello"}});
+  FaultCounters faults;
+  faults.delays = 1;
+  faults.drops = 2;
+  faults.resets = 3;
   EXPECT_EQ(
-      m.to_json().dump(),
+      stats_document(r.collect(), faults, /*quarantined_trials=*/6).dump(),
       R"({"connections":3,"sessions_created":1,"malformed_frames":2,)"
       R"("oversized_frames":0,"disconnects_mid_request":1,"idle_timeouts":0,)"
       R"("shed_requests":4,"dedup_hits":5,"quarantined_trials":6,)"
@@ -52,50 +69,17 @@ TEST(ServiceMetricsGolden, ToJsonIsBytePinned) {
       R"("lat_us":{"p50":16,"p90":100,"p99":100,"max":100}}}})");
 }
 
-TEST(ServiceMetricsSamples, MirrorsTheJsonNumbers) {
-  ServiceMetrics m;
-  m.connections = 7;
-  m.quarantined_trials = 2;
-  m.record("query", true, 5.0);
-  bool saw_connections = false, saw_quarantined = false, saw_latency = false;
-  for (const auto& s : m.to_samples()) {
-    if (s.name == "netd_svc_connections_total") {
-      saw_connections = true;
-      EXPECT_DOUBLE_EQ(s.value, 7.0);
-    } else if (s.name == "netd_svc_quarantined_trials_total") {
-      saw_quarantined = true;
-      EXPECT_DOUBLE_EQ(s.value, 2.0);
-    } else if (s.name == "netd_svc_request_latency_us") {
-      saw_latency = true;
-      ASSERT_EQ(s.labels.size(), 1u);
-      EXPECT_EQ(s.labels[0].first, "op");
-      EXPECT_EQ(s.labels[0].second, "query");
-      EXPECT_EQ(s.hist.count(), 1u);
+/// The value of one series of a scrape (`series` with its labels, e.g.
+/// `netd_svc_requests_total{op="query"}`); -1 when the scrape lacks it.
+double series_value(const std::string& text, const std::string& series) {
+  std::istringstream is(text);
+  std::string line;
+  while (std::getline(is, line)) {
+    if (line.rfind(series + " ", 0) == 0) {
+      return std::strtod(line.c_str() + series.size() + 1, nullptr);
     }
   }
-  EXPECT_TRUE(saw_connections);
-  EXPECT_TRUE(saw_quarantined);
-  EXPECT_TRUE(saw_latency);
-}
-
-/// Regression: with several ops recorded, the per-op families must come
-/// out grouped — a family must never reappear after another family has
-/// started, or the rendered exposition repeats TYPE lines and real
-/// Prometheus parsers reject the scrape.
-TEST(ServiceMetricsSamples, FamiliesAreContiguousAcrossOps) {
-  ServiceMetrics m;
-  m.record("hello", true, 1.0);
-  m.record("observe", true, 10.0);
-  m.record("stats", false, 5.0);
-  std::vector<std::string> family_order;
-  for (const auto& s : m.to_samples()) {
-    if (family_order.empty() || family_order.back() != s.name) {
-      EXPECT_EQ(std::count(family_order.begin(), family_order.end(), s.name),
-                0)
-          << "family " << s.name << " reappears after another family";
-      family_order.push_back(s.name);
-    }
-  }
+  return -1;
 }
 
 class MetricsVerbTest : public ::testing::Test {
@@ -167,7 +151,7 @@ TEST_F(MetricsVerbTest, QuarantinedTrialsTrackTheLiveCampaign) {
   ASSERT_NE(j.find("campaign"), nullptr);
   EXPECT_EQ(j.find("campaign")->find("quarantined")->as_int(), 3);
 
-  // The Prometheus surface reads through the same snapshot path.
+  // The Prometheus surface asks the same provider on every request.
   const std::string text = metrics_text(c);
   EXPECT_NE(text.find("netd_svc_quarantined_trials_total 3\n"),
             std::string::npos)
@@ -246,6 +230,96 @@ TEST_F(MetricsVerbTest, MetricsVerbRendersParseablePrometheusText) {
   EXPECT_GT(samples, 0u);
   EXPECT_TRUE(saw_uptime);
   EXPECT_TRUE(saw_stats_op);
+}
+
+/// `stats` and `metrics` render one per-server registry: after a hello,
+/// a malformed frame, a failing query and a stats, every stats counter
+/// equals its scrape series, and a second server in the same process
+/// counts only its own traffic.
+TEST_F(MetricsVerbTest, StatsAndMetricsAgreePerServer) {
+  Client idle = connect();  // a second connection, so counts are not 1s
+  Client c = connect();
+  std::string error;
+  ASSERT_TRUE(c.call(Request{HelloRequest{"agree", SessionConfig{},
+                                          std::nullopt}},
+                     &error))
+      << error;
+  ASSERT_TRUE(c.call_raw("{ not json", &error)) << error;
+  const auto q = c.call(Request{QueryRequest{"nope", std::nullopt}}, &error);
+  ASSERT_TRUE(q.has_value()) << error;
+  ASSERT_NE(std::get_if<ErrorResponse>(&*q), nullptr);
+  const Json stats = stats_doc(c);
+  const std::string text = metrics_text(c);
+
+  const auto stat = [&stats](const char* key) {
+    const Json* v = stats.find(key);
+    EXPECT_NE(v, nullptr) << key;
+    return v != nullptr ? static_cast<double>(v->as_int()) : -1.0;
+  };
+  for (const char* key :
+       {"connections", "sessions_created", "malformed_frames",
+        "oversized_frames", "disconnects_mid_request", "idle_timeouts",
+        "shed_requests", "dedup_hits", "quarantined_trials"}) {
+    EXPECT_EQ(stat(key),
+              series_value(text, std::string("netd_svc_") + key + "_total"))
+        << key;
+  }
+  EXPECT_EQ(stat("connections"), 2);
+  EXPECT_EQ(stat("sessions_created"), 1);
+  EXPECT_EQ(stat("malformed_frames"), 1);
+
+  const Json* ops = stats.find("ops");
+  ASSERT_NE(ops, nullptr);
+  ASSERT_EQ(ops->members().size(), 2u) << stats.dump();
+  for (const auto& [op, doc] : ops->members()) {
+    const std::string label = "{op=\"" + op + "\"}";
+    EXPECT_EQ(static_cast<double>(doc.find("count")->as_int()),
+              series_value(text, "netd_svc_requests_total" + label))
+        << op;
+    EXPECT_EQ(static_cast<double>(doc.find("errors")->as_int()),
+              series_value(text, "netd_svc_request_errors_total" + label))
+        << op;
+  }
+  EXPECT_EQ(ops->find("hello")->find("errors")->as_int(), 0);
+  EXPECT_EQ(ops->find("query")->find("count")->as_int(), 1);
+  EXPECT_EQ(ops->find("query")->find("errors")->as_int(), 1);
+
+  Server::Options opts;
+  opts.endpoint.port = 0;
+  opts.num_threads = 1;
+  Server other(std::move(opts));
+  ASSERT_TRUE(other.start(&error)) << error;
+  {
+    auto oc = Client::connect(other.endpoint(), &error);
+    ASSERT_TRUE(oc.has_value()) << error;
+    const std::string other_text = metrics_text(*oc);
+    EXPECT_EQ(series_value(other_text, "netd_svc_connections_total"), 1);
+    EXPECT_EQ(series_value(other_text, "netd_svc_malformed_frames_total"), 0);
+    EXPECT_EQ(series_value(other_text,
+                           "netd_svc_requests_total{op=\"query\"}"),
+              0);
+  }
+  other.stop();
+  EXPECT_EQ(series_value(metrics_text(c), "netd_svc_connections_total"), 2);
+}
+
+/// A traced request leaves its trace id on its op's request counter as an
+/// OpenMetrics exemplar; an op never traced carries none.
+TEST_F(MetricsVerbTest, RequestsCarryTheirLastTraceIdAsExemplar) {
+  Client c = connect();
+  std::string error;
+  const obs::TraceContext tc = obs::TraceContext::root(7, 3);
+  ASSERT_TRUE(c.call(Request{QueryRequest{"nope", tc}}, &error)) << error;
+  (void)stats_doc(c);
+  const std::string text = metrics_text(c);
+  EXPECT_NE(text.find("netd_svc_requests_total{op=\"query\"} 1 # "
+                      "{trace_id=\"" +
+                      obs::format_trace_id(tc.trace_id) + "\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("netd_svc_requests_total{op=\"stats\"} 1\n"),
+            std::string::npos)
+      << text;
 }
 
 /// Scrape stability under load: 8 sessions hammer the server with
