@@ -59,6 +59,7 @@
 #include "topo/random_internet.h"
 #include "util/atomic_file.h"
 #include "util/flags.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -108,10 +109,11 @@ topo::GeneratorParams topo_params(util::Flags& flags) {
   return p;
 }
 
-/// Loads a topology from --topo FILE, or generates one.
-std::optional<topo::Topology> make_topology(util::Flags& flags) {
+/// Loads a topology from --topo FILE, or generates one from `params`.
+std::optional<topo::Topology> make_topology(
+    const util::Flags& flags, const topo::GeneratorParams& params) {
   const std::string file = flags.get("topo");
-  if (file.empty()) return topo::generate(topo_params(flags));
+  if (file.empty()) return topo::generate(params);
   std::ifstream is(file);
   if (!is) {
     std::cerr << "netdiag: cannot open " << file << "\n";
@@ -126,6 +128,7 @@ std::optional<topo::Topology> make_topology(util::Flags& flags) {
 int cmd_topo(util::Flags& flags) {
   flags.allow({"topo-seed", "ases", "tier2", "stubs", "dump", "dot", "topo",
                "help"});
+  const topo::GeneratorParams params = topo_params(flags);
   if (!flags.ok() || flags.get_bool("help")) {
     std::cerr << "netdiag topo [--topo-seed N] [--ases N] [--tier2 N] "
                  "[--stubs N]\n             [--topo FILE] [--dump FILE] "
@@ -133,7 +136,7 @@ int cmd_topo(util::Flags& flags) {
     for (const auto& e : flags.errors()) std::cerr << "  " << e << "\n";
     return flags.ok() ? 0 : 2;
   }
-  const auto topo = make_topology(flags);
+  const auto topo = make_topology(flags, params);
   if (!topo) return 1;
 
   std::size_t core = 0, tier2 = 0, stub = 0, inter = 0;
@@ -242,6 +245,17 @@ int cmd_plan(util::Flags& flags) {
   flags.allow({"topo-seed", "ases", "tier2", "stubs", "topo", "internet",
                "budget", "candidates", "granularity", "placement", "seed",
                "threads", "eager", "compare-random", "json", "csv", "help"});
+  const std::size_t inet = flags.get_uint("internet", 0);
+  topo::GeneratorParams params = topo_params(flags);
+  // --topo-seed defaults to 42 for --internet topologies, 1 otherwise.
+  if (inet != 0 && !flags.has("topo-seed")) params.seed = 42;
+  const std::size_t budget = flags.get_uint("budget", 10);
+  const std::size_t requested =
+      std::max(flags.get_uint("candidates", budget * 4), budget);
+  util::Rng rng(flags.get_uint("seed", 42));
+  plan::PlannerConfig pcfg;
+  pcfg.num_threads = flags.get_uint("threads", 0);
+  const std::size_t compare = flags.get_uint("compare-random", 0);
   if (!flags.ok() || flags.get_bool("help")) {
     std::cerr
         << "netdiag plan [--budget K] [--candidates C]  (default C = 4K)\n"
@@ -268,7 +282,7 @@ int cmd_plan(util::Flags& flags) {
   }
 
   std::optional<topo::Topology> topology;
-  if (const std::size_t inet = flags.get_uint("internet", 0); inet != 0) {
+  if (inet != 0) {
     topo::RandomInternetParams p;
     p.num_tier1 = 5;
     p.num_tier2 = std::min<std::size_t>(400, 25 + inet / 100);
@@ -277,14 +291,13 @@ int cmd_plan(util::Flags& flags) {
                       : 1;
     p.tier1_routers = 10;
     p.tier2_routers = 4;
-    p.seed = static_cast<std::uint64_t>(flags.get_uint("topo-seed", 42));
+    p.seed = params.seed;
     topology = topo::random_internet(p);
   } else {
-    topology = make_topology(flags);
+    topology = make_topology(flags, params);
   }
   if (!topology) return 1;
 
-  const std::size_t budget = flags.get_uint("budget", 10);
   const auto granularity =
       plan::granularity_from_string(flags.get("granularity", "link"));
   if (!granularity) {
@@ -305,8 +318,6 @@ int cmd_plan(util::Flags& flags) {
               << "' placement; lower --budget or grow the topology\n";
     return 2;
   }
-  const std::size_t requested =
-      std::max(flags.get_uint("candidates", budget * 4), budget);
   const std::size_t pool = std::min(requested, capacity);
   if (pool < requested) {
     std::cerr << "netdiag: candidate pool clamped to " << pool
@@ -314,11 +325,8 @@ int cmd_plan(util::Flags& flags) {
               << "' placement)\n";
   }
 
-  util::Rng rng(static_cast<std::uint64_t>(flags.get_uint("seed", 42)));
-  plan::PlannerConfig pcfg;
   pcfg.budget = budget;
   pcfg.objective = *granularity;
-  pcfg.num_threads = flags.get_uint("threads", 0);
   pcfg.lazy = !flags.get_bool("eager");
   plan::Planner planner(*topology,
                         probe::place_sensors(*topology, kind, pool, rng),
@@ -332,7 +340,6 @@ int cmd_plan(util::Flags& flags) {
           .count();
 
   double random_objective = 0.0;
-  const std::size_t compare = flags.get_uint("compare-random", 0);
   for (std::size_t r = 0; r < compare; ++r) {
     std::vector<std::size_t> all(planner.candidates().size());
     std::iota(all.begin(), all.end(), std::size_t{0});
@@ -342,31 +349,35 @@ int cmd_plan(util::Flags& flags) {
 
   const auto& topo = *topology;
   if (flags.get_bool("json")) {
-    std::ostream& os = std::cout;
-    os << "{\"granularity\":\"" << plan::to_string(*granularity)
-       << "\",\"budget\":" << budget << ",\"candidates\":" << pool
-       << ",\"objective\":" << result.objective << ",\"plan_ms\":" << plan_ms;
-    if (compare > 0) os << ",\"random_objective\":" << random_objective;
-    os << ",\"sensors\":[";
+    using util::Json;
+    Json j = Json::object();
+    j.set("granularity", Json::string(plan::to_string(*granularity)));
+    j.set("budget", Json::uinteger(budget));
+    j.set("candidates", Json::uinteger(pool));
+    j.set("objective", Json::number(result.objective));
+    j.set("plan_ms", Json::number(plan_ms));
+    if (compare > 0) j.set("random_objective", Json::number(random_objective));
+    Json& sensors = j.set("sensors", Json::array());
     for (std::size_t i = 0; i < result.sensors.size(); ++i) {
       const auto& s = result.sensors[i];
-      os << (i == 0 ? "" : ",") << "{\"name\":\"" << s.name
-         << "\",\"router\":\"" << topo.router(s.attach).name
-         << "\",\"as\":" << s.as.value()
-         << ",\"candidate\":" << result.chosen[i]
-         << ",\"gain\":" << result.gains[i] << "}";
+      Json& e = sensors.push_back(Json::object());
+      e.set("name", Json::string(s.name));
+      e.set("router", Json::string(topo.router(s.attach).name));
+      e.set("as", Json::uinteger(s.as.value()));
+      e.set("candidate", Json::uinteger(result.chosen[i]));
+      e.set("gain", Json::number(result.gains[i]));
     }
-    os << "],\"report\":{";
-    const auto emit = [&os](const char* key,
-                            const plan::GranularityStats& st, bool first) {
-      os << (first ? "" : ",") << "\"" << key << "\":{\"covered\":"
-         << st.covered << ",\"distinct\":" << st.distinct
-         << ",\"identifiable\":" << st.identifiable << "}";
-    };
-    emit("links", result.report.links, true);
-    emit("ases", result.report.ases, false);
-    emit("nodes", result.report.nodes, false);
-    os << "}}\n";
+    Json& report = j.set("report", Json::object());
+    for (const auto& [key, st] :
+         {std::pair{"links", result.report.links},
+          std::pair{"ases", result.report.ases},
+          std::pair{"nodes", result.report.nodes}}) {
+      Json& e = report.set(key, Json::object());
+      e.set("covered", Json::uinteger(st.covered));
+      e.set("distinct", Json::uinteger(st.distinct));
+      e.set("identifiable", Json::uinteger(st.identifiable));
+    }
+    std::cout << j.dump() << "\n";
     return 0;
   }
 
@@ -416,6 +427,23 @@ int cmd_run(util::Flags& flags) {
                "record", "threshold", "checkpoint", "resume",
                "trial-deadline-ms", "csv", "max-placements", "trace-out",
                "metrics-out", "help"});
+  exp::ScenarioConfig cfg;
+  cfg.topo_params = topo_params(flags);
+  cfg.num_sensors = flags.get_uint("sensors", 10);
+  cfg.num_placements = flags.get_uint("placements", 5);
+  cfg.trials_per_placement = flags.get_uint("trials", 20);
+  cfg.num_link_failures = flags.get_uint("failures", 1);
+  cfg.frac_blocked = flags.get_double("blocked", 0.0);
+  cfg.frac_lg = flags.get_double("lg", 1.0);
+  cfg.seed = static_cast<std::uint64_t>(flags.get_uint("seed", 42));
+  cfg.num_threads = flags.get_uint("threads", 0);
+  cfg.trial_deadline_ms =
+      static_cast<std::uint64_t>(flags.get_uint("trial-deadline-ms", 0));
+  cfg.plan_pool = flags.get_uint("plan-pool", 0);
+  exp::CampaignOptions copts;
+  copts.max_new_placements = flags.get_uint("max-placements", 0);
+  svc::SessionConfig scfg;
+  scfg.alarm_threshold = flags.get_uint("threshold", 1);
   if (!flags.ok() || flags.get_bool("help")) {
     std::cerr
         << "netdiag run [--mode links|misconfig|misconfig-link|router]\n"
@@ -468,19 +496,7 @@ int cmd_run(util::Flags& flags) {
     }
   }
 
-  exp::ScenarioConfig cfg;
-  cfg.topo_params = topo_params(flags);
-  cfg.num_sensors = flags.get_uint("sensors", 10);
-  cfg.num_placements = flags.get_uint("placements", 5);
-  cfg.trials_per_placement = flags.get_uint("trials", 20);
-  cfg.num_link_failures = flags.get_uint("failures", 1);
-  cfg.frac_blocked = flags.get_double("blocked", 0.0);
-  cfg.frac_lg = flags.get_double("lg", 1.0);
   cfg.operator_at_core = flags.get("operator", "core") != "stub";
-  cfg.seed = static_cast<std::uint64_t>(flags.get_uint("seed", 42));
-  cfg.num_threads = flags.get_uint("threads", 0);
-  cfg.trial_deadline_ms =
-      static_cast<std::uint64_t>(flags.get_uint("trial-deadline-ms", 0));
   if (flags.has("placement")) {
     // "planned" keeps the random candidate draw but deploys the
     // plan::Planner-chosen subset (see src/plan).
@@ -492,7 +508,6 @@ int cmd_run(util::Flags& flags) {
       cfg.placement = *kind;
     }
   }
-  cfg.plan_pool = flags.get_uint("plan-pool", 0);
 
   const std::string mode = flags.get("mode", "links");
   if (mode == "links") {
@@ -518,10 +533,8 @@ int cmd_run(util::Flags& flags) {
             << cfg.num_placements << "x" << cfg.trials_per_placement
             << " blocked=" << cfg.frac_blocked << " lg=" << cfg.frac_lg
             << "\n";
-  exp::CampaignOptions copts;
   copts.checkpoint_path = flags.get("checkpoint");
   copts.resume = flags.get_bool("resume");
-  copts.max_new_placements = flags.get_uint("max-placements", 0);
   // Every run is a campaign; these flags only add its summary line.
   const bool campaign = !copts.checkpoint_path.empty() || copts.resume ||
                         flags.has("csv") || flags.has("max-placements") ||
@@ -541,8 +554,6 @@ int cmd_run(util::Flags& flags) {
   exp::Runner runner(cfg);
   std::string error;
   if (!record.empty()) {
-    svc::SessionConfig scfg;
-    scfg.alarm_threshold = flags.get_uint("threshold", 1);
     const auto res = runner.record_campaign(record, scfg, copts, &error);
     if (!res) {
       std::cerr << "netdiag: " << error << "\n";
@@ -595,30 +606,31 @@ int cmd_run(util::Flags& flags) {
 int cmd_diagnose(util::Flags& flags) {
   flags.allow({"topo-seed", "ases", "tier2", "stubs", "topo", "seed",
                "failures", "sensors", "report", "json", "help"});
+  const topo::GeneratorParams params = topo_params(flags);
+  util::Rng rng(flags.get_uint("seed", 7));
+  const std::size_t num_sensors = flags.get_uint("sensors", 10);
+  const std::size_t k = flags.get_uint("failures", 2);
   if (!flags.ok() || flags.get_bool("help")) {
     std::cerr << "netdiag diagnose [--seed S] [--failures K] [--sensors N]\n"
                  "                 [--topo FILE] [--report] [--json]\n";
     for (const auto& e : flags.errors()) std::cerr << "  " << e << "\n";
     return flags.ok() ? 0 : 2;
   }
-  auto topology = make_topology(flags);
+  auto topology = make_topology(flags, params);
   if (!topology) return 1;
   sim::Network net(std::move(*topology));
   net.converge();
   const auto& topo = net.topology();
   net.set_operator_as(topo::AsId{0});
 
-  util::Rng rng(static_cast<std::uint64_t>(flags.get_uint("seed", 7)));
   const auto sensors = probe::place_sensors(
-      topo, probe::PlacementKind::kRandomStub,
-      flags.get_uint("sensors", 10), rng);
+      topo, probe::PlacementKind::kRandomStub, num_sensors, rng);
   probe::Prober prober(net, sensors);
   const auto before = prober.measure();
   const auto dg = core::build_diagnosis_graph(before, before, false);
   std::cout << "probed links: " << dg.probed_keys.size()
             << ", diagnosability: " << core::diagnosability(dg) << "\n";
 
-  const auto k = flags.get_uint("failures", 2);
   const auto pool = before.probed_links();
   if (pool.size() < k) {
     std::cerr << "netdiag: not enough probed links\n";
@@ -676,6 +688,14 @@ int cmd_watch(util::Flags& flags) {
   flags.allow({"topo-seed", "ases", "tier2", "stubs", "topo", "seed",
                "sensors", "rounds", "threshold", "fail-round", "flap-round",
                "record", "help"});
+  const topo::GeneratorParams params = topo_params(flags);
+  util::Rng rng(flags.get_uint("seed", 7));
+  const std::size_t num_sensors = flags.get_uint("sensors", 10);
+  core::Troubleshooter::Config cfg;
+  cfg.alarm_threshold = flags.get_uint("threshold", 3);
+  const auto rounds = flags.get_int("rounds", 10);
+  const auto flap_round = flags.get_int("flap-round", 2);
+  const auto fail_round = flags.get_int("fail-round", 5);
   if (!flags.ok() || flags.get_bool("help")) {
     std::cerr << "netdiag watch [--seed S] [--sensors N] [--rounds R]\n"
                  "              [--threshold K] [--flap-round A]"
@@ -685,20 +705,16 @@ int cmd_watch(util::Flags& flags) {
     for (const auto& e : flags.errors()) std::cerr << "  " << e << "\n";
     return flags.ok() ? 0 : 2;
   }
-  auto topology = make_topology(flags);
+  auto topology = make_topology(flags, params);
   if (!topology) return 1;
   sim::Network net(std::move(*topology));
   net.converge();
   net.set_operator_as(topo::AsId{0});
 
-  util::Rng rng(static_cast<std::uint64_t>(flags.get_uint("seed", 7)));
   const auto sensors = probe::place_sensors(
-      net.topology(), probe::PlacementKind::kRandomStub,
-      flags.get_uint("sensors", 10), rng);
+      net.topology(), probe::PlacementKind::kRandomStub, num_sensors, rng);
   probe::Prober prober(net, sensors);
 
-  core::Troubleshooter::Config cfg;
-  cfg.alarm_threshold = flags.get_uint("threshold", 3);
   cfg.solver = core::nd_bgpigp_options();
   core::Troubleshooter ts(cfg);
 
@@ -721,9 +737,6 @@ int cmd_watch(util::Flags& flags) {
   ts.set_baseline(baseline_mesh);
   if (recorder) recorder->baseline(baseline_mesh);
 
-  const auto rounds = flags.get_int("rounds", 10);
-  const auto flap_round = flags.get_int("flap-round", 2);
-  const auto fail_round = flags.get_int("fail-round", 5);
   const auto pool = ts.baseline().probed_links();
   const topo::LinkId flap_victim = rng.pick(pool);
   // The persistent failure should actually break pairs: prefer a
@@ -785,6 +798,20 @@ int cmd_serve(util::Flags& flags) {
                "max-sessions", "drain-timeout-ms", "retry-after-ms",
                "chaos-seed", "campaign-checkpoint", "state-dir", "fsync",
                "snapshot-every", "slow-request-ms", "trace-out", "help"});
+  svc::Server::Options opts;
+  opts.num_threads = flags.get_uint("threads", 8);
+  opts.idle_timeout_ms = flags.get_int("idle-timeout-ms", 30000);
+  opts.max_pending = flags.get_uint("max-pending", 64);
+  opts.max_sessions = flags.get_uint("max-sessions", 0);
+  opts.drain_timeout_ms = flags.get_int("drain-timeout-ms", 2000);
+  opts.retry_after_ms =
+      static_cast<std::uint64_t>(flags.get_uint("retry-after-ms", 100));
+  if (flags.has("chaos-seed")) {
+    opts.fault_plan = svc::FaultPlan::chaos(
+        static_cast<std::uint64_t>(flags.get_uint("chaos-seed", 1)));
+  }
+  opts.snapshot_every = flags.get_uint("snapshot-every", 256);
+  opts.slow_request_ms = flags.get_int("slow-request-ms", 0);
   if (!flags.ok() || flags.get_bool("help")) {
     std::cerr << "netdiag serve [--listen unix:PATH|HOST:PORT|:PORT]"
                  " [--threads N]\n"
@@ -817,19 +844,7 @@ int cmd_serve(util::Flags& flags) {
     std::cerr << "netdiag: " << error << "\n";
     return 2;
   }
-  svc::Server::Options opts;
   opts.endpoint = *ep;
-  opts.num_threads = flags.get_uint("threads", 8);
-  opts.idle_timeout_ms = flags.get_int("idle-timeout-ms", 30000);
-  opts.max_pending = flags.get_uint("max-pending", 64);
-  opts.max_sessions = flags.get_uint("max-sessions", 0);
-  opts.drain_timeout_ms = flags.get_int("drain-timeout-ms", 2000);
-  opts.retry_after_ms =
-      static_cast<std::uint64_t>(flags.get_uint("retry-after-ms", 100));
-  if (flags.has("chaos-seed")) {
-    opts.fault_plan = svc::FaultPlan::chaos(
-        static_cast<std::uint64_t>(flags.get_uint("chaos-seed", 1)));
-  }
   opts.state_dir = flags.get("state-dir");
   const std::string fsync_name = flags.get("fsync", "batch");
   const auto policy = svc::fsync_policy_from_string(fsync_name);
@@ -839,27 +854,25 @@ int cmd_serve(util::Flags& flags) {
     return 2;
   }
   opts.fsync = *policy;
-  opts.snapshot_every = flags.get_uint("snapshot-every", 256);
-  opts.slow_request_ms = flags.get_int("slow-request-ms", 0);
   if (const std::string f = flags.get("campaign-checkpoint"); !f.empty()) {
     // The checkpoint is replaced atomically by the campaign process
     // (rename(2)), so reading it on every stats request always sees one
     // complete version — no coordination needed.
     opts.campaign_stats = [f]() {
-      svc::Json j = svc::Json::object();
+      util::Json j = util::Json::object();
       std::string cerror;
       const auto ck = exp::Checkpoint::load(f, &cerror);
       if (!ck) {
-        j.set("error", svc::Json::string(cerror));
+        j.set("error", util::Json::string(cerror));
         return j;
       }
       j.set("completed_placements",
-            svc::Json::uinteger(ck->completed_placements));
+            util::Json::uinteger(ck->completed_placements));
       j.set("total_placements",
-            svc::Json::uinteger(ck->scenario.num_placements));
-      j.set("episodes", svc::Json::uinteger(ck->episodes));
-      j.set("quarantined", svc::Json::uinteger(ck->quarantined.size()));
-      j.set("recording", svc::Json::boolean(ck->recording));
+            util::Json::uinteger(ck->scenario.num_placements));
+      j.set("episodes", util::Json::uinteger(ck->episodes));
+      j.set("quarantined", util::Json::uinteger(ck->quarantined.size()));
+      j.set("recording", util::Json::boolean(ck->recording));
       return j;
     };
   }
@@ -899,6 +912,9 @@ svc::Client::Options client_options(util::Flags& flags) {
 int cmd_submit(util::Flags& flags) {
   flags.allow({"connect", "op", "session", "threshold", "algo", "granularity",
                "retries", "connect-timeout-ms", "request-timeout-ms", "help"});
+  const svc::Client::Options copts = client_options(flags);
+  svc::SessionConfig scfg;
+  scfg.alarm_threshold = flags.get_uint("threshold", scfg.alarm_threshold);
   if (!flags.ok() || flags.get_bool("help")) {
     std::cerr
         << "netdiag submit [--connect ADDR] "
@@ -922,8 +938,6 @@ int cmd_submit(util::Flags& flags) {
   const std::string session = flags.get("session", "default");
   svc::Request req;
   if (op == "hello") {
-    svc::SessionConfig scfg;
-    scfg.alarm_threshold = flags.get_uint("threshold", scfg.alarm_threshold);
     scfg.algo = flags.get("algo", scfg.algo);
     scfg.granularity = flags.get("granularity", scfg.granularity);
     req = svc::HelloRequest{session, std::move(scfg), std::nullopt};
@@ -940,7 +954,7 @@ int cmd_submit(util::Flags& flags) {
               << "' (hello, query, stats, metrics, shutdown)\n";
     return 2;
   }
-  auto client = svc::Client::connect(*ep, client_options(flags), &error);
+  auto client = svc::Client::connect(*ep, copts, &error);
   if (!client) {
     std::cerr << "netdiag: " << error << "\n";
     return 1;
@@ -993,6 +1007,9 @@ std::vector<PromSample> parse_prometheus(const std::string& text) {
 int cmd_top(util::Flags& flags) {
   flags.allow({"connect", "interval-ms", "iterations", "filter", "retries",
                "connect-timeout-ms", "request-timeout-ms", "help"});
+  const svc::Client::Options copts = client_options(flags);
+  const std::uint64_t interval_ms = flags.get_uint("interval-ms", 1000);
+  const std::uint64_t iterations = flags.get_uint("iterations", 0);
   if (!flags.ok() || flags.get_bool("help")) {
     std::cerr
         << "netdiag top [--connect ADDR] [--interval-ms MS] [--iterations N]\n"
@@ -1011,10 +1028,8 @@ int cmd_top(util::Flags& flags) {
     std::cerr << "netdiag: " << error << "\n";
     return 2;
   }
-  const std::uint64_t interval_ms = flags.get_uint("interval-ms", 1000);
-  const std::uint64_t iterations = flags.get_uint("iterations", 0);
   const std::string filter = flags.get("filter");
-  auto client = svc::Client::connect(*ep, client_options(flags), &error);
+  auto client = svc::Client::connect(*ep, copts, &error);
   if (!client) {
     std::cerr << "netdiag: " << error << "\n";
     return 1;
@@ -1071,6 +1086,10 @@ int cmd_top(util::Flags& flags) {
 int cmd_tail(util::Flags& flags) {
   flags.allow({"connect", "interval-ms", "cursor", "cap", "once", "retries",
                "connect-timeout-ms", "request-timeout-ms", "help"});
+  const svc::Client::Options copts = client_options(flags);
+  std::uint64_t cursor = flags.get_uint("cursor", 0);
+  const std::uint64_t cap = flags.get_uint("cap", 0);
+  const std::uint64_t interval_ms = flags.get_uint("interval-ms", 1000);
   if (!flags.ok() || flags.get_bool("help")) {
     std::cerr
         << "netdiag tail [--connect ADDR] [--interval-ms MS] [--once]\n"
@@ -1090,14 +1109,11 @@ int cmd_tail(util::Flags& flags) {
     std::cerr << "netdiag: " << error << "\n";
     return 2;
   }
-  auto client = svc::Client::connect(*ep, client_options(flags), &error);
+  auto client = svc::Client::connect(*ep, copts, &error);
   if (!client) {
     std::cerr << "netdiag: " << error << "\n";
     return 1;
   }
-  std::uint64_t cursor = flags.get_uint("cursor", 0);
-  const std::uint64_t cap = flags.get_uint("cap", 0);
-  const std::uint64_t interval_ms = flags.get_uint("interval-ms", 1000);
   const bool once = flags.get_bool("once");
   for (;;) {
     const auto rsp =
@@ -1149,7 +1165,7 @@ int cmd_trace_merge(util::Flags& flags) {
     for (const auto& e : flags.errors()) std::cerr << "  " << e << "\n";
     return flags.ok() && !bad_args ? 0 : 2;
   }
-  svc::Json merged = svc::Json::array();
+  util::Json merged = util::Json::array();
   for (std::size_t i = 0; i < flags.positional().size(); ++i) {
     const std::string& file = flags.positional()[i];
     std::string error;
@@ -1158,26 +1174,26 @@ int cmd_trace_merge(util::Flags& flags) {
       std::cerr << "netdiag: " << file << ": " << error << "\n";
       return 1;
     }
-    const auto doc = svc::Json::parse(*bytes, &error);
+    const auto doc = util::Json::parse(*bytes, &error);
     if (!doc || !doc->is_array()) {
       std::cerr << "netdiag: " << file << ": "
                 << (doc ? "not a trace event array" : error) << "\n";
       return 1;
     }
-    const svc::Json pid = svc::Json::uinteger(i + 1);
-    svc::Json meta = svc::Json::object();
-    meta.set("ph", svc::Json::string("M"));
+    const util::Json pid = util::Json::uinteger(i + 1);
+    util::Json meta = util::Json::object();
+    meta.set("ph", util::Json::string("M"));
     meta.set("pid", pid);
-    meta.set("tid", svc::Json::uinteger(0));
-    meta.set("name", svc::Json::string("process_name"));
-    svc::Json margs = svc::Json::object();
-    margs.set("name", svc::Json::string(file));
+    meta.set("tid", util::Json::uinteger(0));
+    meta.set("name", util::Json::string("process_name"));
+    util::Json margs = util::Json::object();
+    margs.set("name", util::Json::string(file));
     meta.set("args", std::move(margs));
     merged.push_back(std::move(meta));
     for (std::size_t k = 0; k < doc->size(); ++k) {
-      const svc::Json& src = (*doc)[k];
+      const util::Json& src = (*doc)[k];
       if (!src.is_object()) continue;
-      svc::Json ev = svc::Json::object();
+      util::Json ev = util::Json::object();
       bool had_pid = false;
       for (const auto& [key, v] : src.members()) {
         if (key == "pid") {
@@ -1214,6 +1230,7 @@ int cmd_trace_merge(util::Flags& flags) {
 int cmd_replay(util::Flags& flags) {
   flags.allow({"via-socket", "connect", "session", "retries",
                "connect-timeout-ms", "request-timeout-ms", "help"});
+  const svc::Client::Options copts = client_options(flags);
   const bool bad_args = flags.positional().size() != 1;
   if (!flags.ok() || flags.get_bool("help") || bad_args) {
     std::cerr
@@ -1266,7 +1283,7 @@ int cmd_replay(util::Flags& flags) {
       }
       ep = server->endpoint();
     }
-    auto client = svc::Client::connect(ep, client_options(flags), &error);
+    auto client = svc::Client::connect(ep, copts, &error);
     if (!client) {
       std::cerr << "netdiag: " << error << "\n";
       return 1;
@@ -1397,7 +1414,7 @@ int cmd_wal(util::Flags& flags) {
   const std::uint64_t epoch = svc::read_epoch(state_dir);
   bool any_corrupt = false;
 
-  svc::Json sessions_json = svc::Json::array();
+  util::Json sessions_json = util::Json::array();
   if (!as_json) {
     std::cout << "state dir " << state_dir << ", epoch " << epoch << "\n";
   }
@@ -1421,7 +1438,7 @@ int cmd_wal(util::Flags& flags) {
     // floor on top — the same fold recovery performs.
     std::map<std::string, std::uint64_t> acks;
     auto fold = [&acks](std::string_view text) {
-      const auto doc = svc::Json::parse(text, nullptr);
+      const auto doc = util::Json::parse(text, nullptr);
       if (doc && doc->is_object()) (void)svc::fold_watermarks(*doc, &acks);
     };
     if (insp.snapshot.has_value()) fold(*insp.snapshot);
@@ -1445,25 +1462,25 @@ int cmd_wal(util::Flags& flags) {
         nullptr);
 
     if (as_json) {
-      svc::Json js = svc::Json::object();
-      js.set("session", svc::Json::string(name));
-      js.set("snapshot", svc::Json::boolean(insp.snapshot.has_value()));
-      js.set("snapshot_wal", svc::Json::uinteger(insp.wal.value_or(0)));
-      js.set("segments", svc::Json::uinteger(insp.log.segments.size()));
-      js.set("records", svc::Json::uinteger(records));
-      js.set("first_lsn", svc::Json::uinteger(first_lsn));
-      js.set("last_lsn", svc::Json::uinteger(last_lsn));
-      js.set("corrupt", svc::Json::boolean(corrupt));
+      util::Json js = util::Json::object();
+      js.set("session", util::Json::string(name));
+      js.set("snapshot", util::Json::boolean(insp.snapshot.has_value()));
+      js.set("snapshot_wal", util::Json::uinteger(insp.wal.value_or(0)));
+      js.set("segments", util::Json::uinteger(insp.log.segments.size()));
+      js.set("records", util::Json::uinteger(records));
+      js.set("first_lsn", util::Json::uinteger(first_lsn));
+      js.set("last_lsn", util::Json::uinteger(last_lsn));
+      js.set("corrupt", util::Json::boolean(corrupt));
       if (corrupt) {
-        js.set("reason", svc::Json::string(insp.damage));
-        js.set("corrupt_file", svc::Json::string(insp.damage_file));
-        js.set("corrupt_offset", svc::Json::uinteger(insp.damage_offset));
+        js.set("reason", util::Json::string(insp.damage));
+        js.set("corrupt_file", util::Json::string(insp.damage_file));
+        js.set("corrupt_offset", util::Json::uinteger(insp.damage_offset));
       }
       js.set("quarantined_files",
-             svc::Json::uinteger(insp.log.quarantined_files));
-      svc::Json jacks = svc::Json::object();
+             util::Json::uinteger(insp.log.quarantined_files));
+      util::Json jacks = util::Json::object();
       for (const auto& [src, seq] : acks) {
-        jacks.set(src, svc::Json::uinteger(seq));
+        jacks.set(src, util::Json::uinteger(seq));
       }
       js.set("watermarks", std::move(jacks));
       sessions_json.push_back(std::move(js));
@@ -1494,9 +1511,9 @@ int cmd_wal(util::Flags& flags) {
     }
   }
   if (as_json) {
-    svc::Json out = svc::Json::object();
-    out.set("state_dir", svc::Json::string(state_dir));
-    out.set("epoch", svc::Json::uinteger(epoch));
+    util::Json out = util::Json::object();
+    out.set("state_dir", util::Json::string(state_dir));
+    out.set("epoch", util::Json::uinteger(epoch));
     out.set("sessions", std::move(sessions_json));
     std::cout << out.dump() << "\n";
   }

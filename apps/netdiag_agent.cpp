@@ -13,8 +13,8 @@
 #include "agent/agent.h"
 #include "obs/span.h"
 #include "svc/fault.h"
-#include "svc/json.h"
 #include "util/flags.h"
+#include "util/json.h"
 
 namespace {
 
@@ -126,25 +126,25 @@ int main(int argc, char** argv) {
   // One machine-readable summary line on stdout; the chaos harness and
   // operators both read it.
   const auto& s = a.summary();
-  svc::Json j = svc::Json::object();
-  j.set("agent", svc::Json::string(flags.get("name", "agent")));
-  j.set("exit", svc::Json::integer(rc));
-  j.set("spooled", svc::Json::uinteger(s.spooled));
-  j.set("generated", svc::Json::uinteger(s.generated));
-  j.set("acked", svc::Json::uinteger(s.acked));
-  j.set("batches", svc::Json::uinteger(s.batches));
-  j.set("applied", svc::Json::uinteger(s.applied));
-  j.set("deduped", svc::Json::uinteger(s.deduped));
-  j.set("rehellos", svc::Json::uinteger(s.rehellos));
-  j.set("round", svc::Json::uinteger(s.round));
-  j.set("alarmed", svc::Json::boolean(s.alarmed));
-  j.set("diagnosed", svc::Json::boolean(s.diagnosis.has_value()));
-  j.set("recovered_records", svc::Json::uinteger(s.recovery.records));
-  j.set("torn_tails", svc::Json::uinteger(s.recovery.torn_tails));
-  j.set("quarantined", svc::Json::uinteger(s.recovery.quarantined));
-  j.set("stale_temps", svc::Json::uinteger(s.recovery.stale_temps));
-  j.set("dropped_records", svc::Json::uinteger(s.dropped.records));
-  j.set("dropped_bytes", svc::Json::uinteger(s.dropped.bytes));
+  util::Json j = util::Json::object();
+  j.set("agent", util::Json::string(flags.get("name", "agent")));
+  j.set("exit", util::Json::integer(rc));
+  j.set("spooled", util::Json::uinteger(s.spooled));
+  j.set("generated", util::Json::uinteger(s.generated));
+  j.set("acked", util::Json::uinteger(s.acked));
+  j.set("batches", util::Json::uinteger(s.batches));
+  j.set("applied", util::Json::uinteger(s.applied));
+  j.set("deduped", util::Json::uinteger(s.deduped));
+  j.set("rehellos", util::Json::uinteger(s.rehellos));
+  j.set("round", util::Json::uinteger(s.round));
+  j.set("alarmed", util::Json::boolean(s.alarmed));
+  j.set("diagnosed", util::Json::boolean(s.diagnosis.has_value()));
+  j.set("recovered_records", util::Json::uinteger(s.recovery.records));
+  j.set("torn_tails", util::Json::uinteger(s.recovery.torn_tails));
+  j.set("quarantined", util::Json::uinteger(s.recovery.quarantined));
+  j.set("stale_temps", util::Json::uinteger(s.recovery.stale_temps));
+  j.set("dropped_records", util::Json::uinteger(s.dropped.records));
+  j.set("dropped_bytes", util::Json::uinteger(s.dropped.bytes));
   std::cout << j.dump() << "\n";
   return rc;
 }

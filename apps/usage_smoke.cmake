@@ -8,7 +8,7 @@ if(NOT NETDIAG OR NOT SRC)
 endif()
 
 file(READ "${SRC}/netdiag.cpp" source)
-string(REGEX MATCHALL "cmd == \"[a-z]+\"" dispatches "${source}")
+string(REGEX MATCHALL "cmd == \"[a-z-]+\"" dispatches "${source}")
 if(dispatches STREQUAL "")
   message(FATAL_ERROR "usage_smoke: no dispatched verbs found in netdiag.cpp")
 endif()
@@ -26,7 +26,7 @@ endif()
 
 set(verbs "")
 foreach(dispatch IN LISTS dispatches)
-  string(REGEX REPLACE "cmd == \"([a-z]+)\"" "\\1" verb "${dispatch}")
+  string(REGEX REPLACE "cmd == \"([a-z-]+)\"" "\\1" verb "${dispatch}")
   list(APPEND verbs "${verb}")
   # Each verb heads a usage line: two-space indent, the verb, whitespace,
   # then its one-line description.

@@ -142,7 +142,7 @@ obs::SpanContext trace_parent(const obs::TraceContext& tc) {
 
 std::string round_payload(std::size_t round, const probe::Mesh& mesh) {
   std::string out = "{\"round\":";
-  svc::append_uint(out, round);
+  util::append_json_uint(out, round);
   out += ",\"mesh\":";
   svc::append_mesh(out, mesh);
   out += '}';

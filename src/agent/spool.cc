@@ -3,10 +3,10 @@
 #include <sys/stat.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/atomic_file.h"
+#include "util/json.h"
 
 namespace netd::agent {
 
@@ -38,17 +38,13 @@ bool Spool::recover(std::string* error, RecoveryStats* stats) {
   // beside MANIFEST; the same recovery path every atomic_write_file
   // consumer uses cleans it up.
   stats->stale_temps = util::remove_stale_temps(manifest);
-  if (const auto doc = util::read_file(manifest, nullptr); doc.has_value()) {
-    // MANIFEST is tiny, machine-written JSON: {"shipped": N}. Parse it
-    // leniently by hand — an unreadable manifest only loses the advisory
-    // watermark (segments are the truth), never data.
-    const auto pos = doc->find("\"shipped\"");
-    if (pos != std::string::npos) {
-      const auto colon = doc->find(':', pos);
-      if (colon != std::string::npos) {
-        shipped_ = std::strtoull(doc->c_str() + colon + 1, nullptr, 10);
-      }
-    }
+  if (const auto text = util::read_file(manifest, nullptr); text.has_value()) {
+    // MANIFEST is tiny, machine-written JSON: {"shipped": N}. An
+    // unreadable one only loses the advisory watermark (segments are the
+    // truth), never data.
+    const auto doc = util::Json::parse(*text);
+    const util::Json* n = doc ? doc->find("shipped") : nullptr;
+    if (n != nullptr) shipped_ = n->as_uint().value_or(0);
   }
   stats->shipped = shipped_;
 

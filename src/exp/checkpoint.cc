@@ -1,8 +1,6 @@
 #include "exp/checkpoint.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 
 #include "util/atomic_file.h"
@@ -18,37 +16,30 @@ bool fail(std::string* error, const std::string& what) {
   return false;
 }
 
-svc::Json json_double(double v) {
-  return svc::Json::number_from_lexeme(format_double17(v));
+util::Json json_double(double v) {
+  return util::Json::number_from_lexeme(format_double17(v));
 }
 
-/// u64 values (seeds, byte offsets) travel as decimal strings: the Json
-/// accessors go through strtoll and would clamp the upper half of the
-/// range.
-svc::Json json_u64(std::uint64_t v) {
-  return svc::Json::string(std::to_string(v));
+/// u64 values (seeds, byte offsets) stay decimal strings, as every
+/// checkpoint so far wrote them, so existing checkpoints still load.
+/// parse_u64 reads the string with the as_uint rule: digits only, at most
+/// UINT64_MAX.
+util::Json json_u64(std::uint64_t v) {
+  return util::Json::string(std::to_string(v));
 }
 
-bool parse_u64(const svc::Json* j, std::uint64_t* out, std::string* error,
+bool parse_u64(const util::Json* j, std::uint64_t* out, std::string* error,
                const char* what) {
   if (j == nullptr || !j->is_string() || j->as_string().empty()) {
     return fail(error, std::string("missing ") + what);
   }
-  const std::string& s = j->as_string();
-  for (char c : s) {
-    if (c < '0' || c > '9') return fail(error, std::string("bad ") + what);
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) {
-    return fail(error, std::string("bad ") + what);
-  }
-  *out = static_cast<std::uint64_t>(v);
+  const auto v = util::Json::uint_from_lexeme(j->as_string());
+  if (!v) return fail(error, std::string("bad ") + what);
+  *out = *v;
   return true;
 }
 
-bool parse_size(const svc::Json* j, std::size_t* out, std::string* error,
+bool parse_size(const util::Json* j, std::size_t* out, std::string* error,
                 const char* what) {
   const auto v = j != nullptr ? j->as_uint() : std::nullopt;
   if (!v) return fail(error, std::string("missing ") + what);
@@ -56,7 +47,7 @@ bool parse_size(const svc::Json* j, std::size_t* out, std::string* error,
   return true;
 }
 
-bool parse_double(const svc::Json* j, double* out, std::string* error,
+bool parse_double(const util::Json* j, double* out, std::string* error,
                   const char* what) {
   if (j == nullptr || !j->is_number()) {
     return fail(error, std::string("missing ") + what);
@@ -65,7 +56,7 @@ bool parse_double(const svc::Json* j, double* out, std::string* error,
   return true;
 }
 
-bool parse_bool(const svc::Json* j, bool* out, std::string* error,
+bool parse_bool(const util::Json* j, bool* out, std::string* error,
                 const char* what) {
   if (j == nullptr || !j->is_bool()) {
     return fail(error, std::string("missing ") + what);
@@ -74,34 +65,34 @@ bool parse_bool(const svc::Json* j, bool* out, std::string* error,
   return true;
 }
 
-svc::Json link_metrics_to_json(const core::LinkMetrics& m) {
-  svc::Json j = svc::Json::array();
+util::Json link_metrics_to_json(const core::LinkMetrics& m) {
+  util::Json j = util::Json::array();
   j.push_back(json_double(m.sensitivity));
   j.push_back(json_double(m.specificity));
-  j.push_back(svc::Json::uinteger(m.hypothesis_size));
-  j.push_back(svc::Json::uinteger(m.num_probed));
+  j.push_back(util::Json::uinteger(m.hypothesis_size));
+  j.push_back(util::Json::uinteger(m.num_probed));
   return j;
 }
 
-svc::Json as_metrics_to_json(const core::AsMetrics& m) {
-  svc::Json j = svc::Json::array();
+util::Json as_metrics_to_json(const core::AsMetrics& m) {
+  util::Json j = util::Json::array();
   j.push_back(json_double(m.sensitivity));
   j.push_back(json_double(m.specificity));
-  j.push_back(svc::Json::uinteger(m.hypothesis_size));
+  j.push_back(util::Json::uinteger(m.hypothesis_size));
   return j;
 }
 
-svc::Json trial_to_json(const ScoredTrial& st) {
-  svc::Json j = svc::Json::object();
-  j.set("t", svc::Json::uinteger(st.trial));
+util::Json trial_to_json(const ScoredTrial& st) {
+  util::Json j = util::Json::object();
+  j.set("t", util::Json::uinteger(st.trial));
   j.set("d", json_double(st.result.diagnosability));
-  j.set("rd", svc::Json::boolean(st.result.router_detected));
-  svc::Json link = svc::Json::object();
+  j.set("rd", util::Json::boolean(st.result.router_detected));
+  util::Json link = util::Json::object();
   for (const auto& [algo, m] : st.result.link) {
     link.set(to_string(algo), link_metrics_to_json(m));
   }
   j.set("link", std::move(link));
-  svc::Json as = svc::Json::object();
+  util::Json as = util::Json::object();
   for (const auto& [algo, m] : st.result.as_level) {
     as.set(to_string(algo), as_metrics_to_json(m));
   }
@@ -109,7 +100,7 @@ svc::Json trial_to_json(const ScoredTrial& st) {
   return j;
 }
 
-std::optional<ScoredTrial> trial_from_json(const svc::Json& j,
+std::optional<ScoredTrial> trial_from_json(const util::Json& j,
                                            std::size_t placement,
                                            std::string* error) {
   if (!j.is_object()) {
@@ -125,8 +116,8 @@ std::optional<ScoredTrial> trial_from_json(const svc::Json& j,
                   "router_detected")) {
     return std::nullopt;
   }
-  const svc::Json* link = j.find("link");
-  const svc::Json* as = j.find("as");
+  const util::Json* link = j.find("link");
+  const util::Json* as = j.find("as");
   if (link == nullptr || !link->is_object() || as == nullptr ||
       !as->is_object()) {
     fail(error, "trial needs link + as metric objects");
@@ -172,52 +163,52 @@ std::string format_double17(double v) {
   return buf;
 }
 
-svc::Json scenario_to_json(const ScenarioConfig& cfg) {
-  svc::Json topo = svc::Json::object();
+util::Json scenario_to_json(const ScenarioConfig& cfg) {
+  util::Json topo = util::Json::object();
   topo.set("seed", json_u64(cfg.topo_params.seed));
-  topo.set("target_ases", svc::Json::uinteger(cfg.topo_params.target_ases));
-  topo.set("pool_tier2", svc::Json::uinteger(cfg.topo_params.pool_tier2));
-  topo.set("pool_stubs", svc::Json::uinteger(cfg.topo_params.pool_stubs));
+  topo.set("target_ases", util::Json::uinteger(cfg.topo_params.target_ases));
+  topo.set("pool_tier2", util::Json::uinteger(cfg.topo_params.pool_tier2));
+  topo.set("pool_stubs", util::Json::uinteger(cfg.topo_params.pool_stubs));
   topo.set("tier2_multihomed",
            json_double(cfg.topo_params.tier2_multihomed_frac));
   topo.set("stub_multihomed",
            json_double(cfg.topo_params.stub_multihomed_frac));
   topo.set("stub_on_core", json_double(cfg.topo_params.stub_on_core_frac));
-  topo.set("tier2_spokes", svc::Json::uinteger(cfg.topo_params.tier2_spokes));
+  topo.set("tier2_spokes", util::Json::uinteger(cfg.topo_params.tier2_spokes));
   topo.set("core_peer_links",
-           svc::Json::uinteger(cfg.topo_params.core_peer_links));
+           util::Json::uinteger(cfg.topo_params.core_peer_links));
   topo.set("tier2_peering", json_double(cfg.topo_params.tier2_peering_frac));
 
-  svc::Json j = svc::Json::object();
+  util::Json j = util::Json::object();
   j.set("topo", std::move(topo));
-  j.set("sensors", svc::Json::uinteger(cfg.num_sensors));
-  j.set("placement", svc::Json::integer(static_cast<int>(cfg.placement)));
+  j.set("sensors", util::Json::uinteger(cfg.num_sensors));
+  j.set("placement", util::Json::integer(static_cast<int>(cfg.placement)));
   // Emitted only when non-default so checkpoints written before planned
   // placement existed keep their fingerprint bytes.
   if (cfg.placement_strategy != PlacementStrategy::kRandom) {
-    j.set("strategy", svc::Json::string(to_string(cfg.placement_strategy)));
-    j.set("plan_pool", svc::Json::uinteger(cfg.plan_pool));
+    j.set("strategy", util::Json::string(to_string(cfg.placement_strategy)));
+    j.set("plan_pool", util::Json::uinteger(cfg.plan_pool));
   }
-  j.set("placements", svc::Json::uinteger(cfg.num_placements));
-  j.set("trials", svc::Json::uinteger(cfg.trials_per_placement));
-  j.set("mode", svc::Json::integer(static_cast<int>(cfg.mode)));
-  j.set("link_failures", svc::Json::uinteger(cfg.num_link_failures));
+  j.set("placements", util::Json::uinteger(cfg.num_placements));
+  j.set("trials", util::Json::uinteger(cfg.trials_per_placement));
+  j.set("mode", util::Json::integer(static_cast<int>(cfg.mode)));
+  j.set("link_failures", util::Json::uinteger(cfg.num_link_failures));
   j.set("blocked", json_double(cfg.frac_blocked));
   j.set("lg", json_double(cfg.frac_lg));
-  j.set("operator_core", svc::Json::boolean(cfg.operator_at_core));
+  j.set("operator_core", util::Json::boolean(cfg.operator_at_core));
   j.set("seed", json_u64(cfg.seed));
-  j.set("max_attempts", svc::Json::uinteger(cfg.max_attempts_per_trial));
+  j.set("max_attempts", util::Json::uinteger(cfg.max_attempts_per_trial));
   return j;
 }
 
-std::optional<ScenarioConfig> scenario_from_json(const svc::Json& j,
+std::optional<ScenarioConfig> scenario_from_json(const util::Json& j,
                                                  std::string* error) {
   if (!j.is_object()) {
     fail(error, "scenario is not an object");
     return std::nullopt;
   }
   ScenarioConfig cfg;
-  const svc::Json* topo = j.find("topo");
+  const util::Json* topo = j.find("topo");
   if (topo == nullptr || !topo->is_object()) {
     fail(error, "missing scenario topo");
     return std::nullopt;
@@ -277,7 +268,7 @@ std::optional<ScenarioConfig> scenario_from_json(const svc::Json& j,
   }
   cfg.placement = static_cast<probe::PlacementKind>(placement);
   cfg.mode = static_cast<FailureMode>(mode);
-  if (const svc::Json* strategy = j.find("strategy"); strategy != nullptr) {
+  if (const util::Json* strategy = j.find("strategy"); strategy != nullptr) {
     if (!strategy->is_string()) {
       fail(error, "strategy is not a string");
       return std::nullopt;
@@ -295,33 +286,33 @@ std::optional<ScenarioConfig> scenario_from_json(const svc::Json& j,
   return cfg;
 }
 
-svc::Json Checkpoint::to_json() const {
-  svc::Json j = svc::Json::object();
-  j.set("v", svc::Json::integer(kVersion));
-  j.set("kind", svc::Json::string(kKind));
+util::Json Checkpoint::to_json() const {
+  util::Json j = util::Json::object();
+  j.set("v", util::Json::integer(kVersion));
+  j.set("kind", util::Json::string(kKind));
   j.set("scenario", scenario_to_json(scenario));
-  svc::Json algos_json = svc::Json::array();
-  for (Algo a : algos) algos_json.push_back(svc::Json::string(to_string(a)));
+  util::Json algos_json = util::Json::array();
+  for (Algo a : algos) algos_json.push_back(util::Json::string(to_string(a)));
   j.set("algos", std::move(algos_json));
-  j.set("recording", svc::Json::boolean(recording));
+  j.set("recording", util::Json::boolean(recording));
   if (recording) {
     j.set("record", svc::session_config_to_json(record_config));
   }
-  j.set("completed_placements", svc::Json::uinteger(completed_placements));
-  j.set("episodes", svc::Json::uinteger(episodes));
+  j.set("completed_placements", util::Json::uinteger(completed_placements));
+  j.set("episodes", util::Json::uinteger(episodes));
   j.set("trace_bytes", json_u64(trace_bytes));
-  svc::Json results_json = svc::Json::array();
+  util::Json results_json = util::Json::array();
   for (const auto& bucket : results) {
-    svc::Json b = svc::Json::array();
+    util::Json b = util::Json::array();
     for (const auto& st : bucket) b.push_back(trial_to_json(st));
     results_json.push_back(std::move(b));
   }
   j.set("results", std::move(results_json));
-  svc::Json quarantined_json = svc::Json::array();
+  util::Json quarantined_json = util::Json::array();
   for (const auto& q : quarantined) {
-    svc::Json e = svc::Json::object();
-    e.set("placement", svc::Json::uinteger(q.placement));
-    e.set("trial", svc::Json::uinteger(q.trial));
+    util::Json e = util::Json::object();
+    e.set("placement", util::Json::uinteger(q.placement));
+    e.set("trial", util::Json::uinteger(q.trial));
     e.set("seed", json_u64(q.seed));
     quarantined_json.push_back(std::move(e));
   }
@@ -329,21 +320,21 @@ svc::Json Checkpoint::to_json() const {
   return j;
 }
 
-std::optional<Checkpoint> Checkpoint::from_json(const svc::Json& j,
+std::optional<Checkpoint> Checkpoint::from_json(const util::Json& j,
                                                 std::string* error) {
   if (!j.is_object()) {
     fail(error, "checkpoint is not an object");
     return std::nullopt;
   }
-  const svc::Json* v = j.find("v");
-  const svc::Json* kind = j.find("kind");
+  const util::Json* v = j.find("v");
+  const util::Json* kind = j.find("kind");
   if (v == nullptr || !v->is_number() || v->as_int() != kVersion ||
       kind == nullptr || !kind->is_string() || kind->as_string() != kKind) {
     fail(error, "not a v1 campaign checkpoint");
     return std::nullopt;
   }
   Checkpoint ck;
-  const svc::Json* scenario = j.find("scenario");
+  const util::Json* scenario = j.find("scenario");
   if (scenario == nullptr) {
     fail(error, "missing scenario");
     return std::nullopt;
@@ -352,13 +343,13 @@ std::optional<Checkpoint> Checkpoint::from_json(const svc::Json& j,
   if (!cfg) return std::nullopt;
   ck.scenario = std::move(*cfg);
 
-  const svc::Json* algos = j.find("algos");
+  const util::Json* algos = j.find("algos");
   if (algos == nullptr || !algos->is_array()) {
     fail(error, "missing algos");
     return std::nullopt;
   }
   for (std::size_t i = 0; i < algos->size(); ++i) {
-    const svc::Json& a = (*algos)[i];
+    const util::Json& a = (*algos)[i];
     const auto algo = a.is_string() ? algo_from_string(a.as_string())
                                     : std::nullopt;
     if (!algo) {
@@ -371,7 +362,7 @@ std::optional<Checkpoint> Checkpoint::from_json(const svc::Json& j,
     return std::nullopt;
   }
   if (ck.recording) {
-    const svc::Json* rec = j.find("record");
+    const util::Json* rec = j.find("record");
     if (rec == nullptr) {
       fail(error, "missing record config");
       return std::nullopt;
@@ -396,7 +387,7 @@ std::optional<Checkpoint> Checkpoint::from_json(const svc::Json& j,
     return std::nullopt;
   }
 
-  const svc::Json* results = j.find("results");
+  const util::Json* results = j.find("results");
   if (results == nullptr || !results->is_array()) {
     fail(error, "missing results");
     return std::nullopt;
@@ -406,7 +397,7 @@ std::optional<Checkpoint> Checkpoint::from_json(const svc::Json& j,
     return std::nullopt;
   }
   for (std::size_t pl = 0; pl < results->size(); ++pl) {
-    const svc::Json& bucket = (*results)[pl];
+    const util::Json& bucket = (*results)[pl];
     if (!bucket.is_array()) {
       fail(error, "results bucket is not an array");
       return std::nullopt;
@@ -420,13 +411,13 @@ std::optional<Checkpoint> Checkpoint::from_json(const svc::Json& j,
     ck.results.push_back(std::move(trials));
   }
 
-  const svc::Json* quarantined = j.find("quarantined");
+  const util::Json* quarantined = j.find("quarantined");
   if (quarantined == nullptr || !quarantined->is_array()) {
     fail(error, "missing quarantined");
     return std::nullopt;
   }
   for (std::size_t i = 0; i < quarantined->size(); ++i) {
-    const svc::Json& e = (*quarantined)[i];
+    const util::Json& e = (*quarantined)[i];
     if (!e.is_object()) {
       fail(error, "quarantine entry is not an object");
       return std::nullopt;
@@ -461,7 +452,7 @@ std::optional<Checkpoint> Checkpoint::load(const std::string& path,
   while (!body.empty() && (body.back() == '\n' || body.back() == '\r')) {
     body.remove_suffix(1);
   }
-  const auto j = svc::Json::parse(body, &parse_error);
+  const auto j = util::Json::parse(body, &parse_error);
   if (!j) {
     fail(error, path + ": " + parse_error);
     return std::nullopt;

@@ -1,7 +1,7 @@
 // Campaign checkpoints: the durable state behind crash-safe experiment
 // runs (exp::Runner::run_campaign / record_campaign).
 //
-// A checkpoint is one JSON document (the svc::Json codec — number lexemes
+// A checkpoint is one JSON document (util::Json — number lexemes
 // and member order are preserved, so save/load round-trips are
 // byte-identical) persisted with util::atomic_write_file after every
 // completed placement. It holds:
@@ -28,8 +28,8 @@
 #include <vector>
 
 #include "exp/runner.h"
-#include "svc/json.h"
 #include "svc/protocol.h"
+#include "util/json.h"
 
 namespace netd::exp {
 
@@ -40,9 +40,9 @@ namespace netd::exp {
 /// Canonical JSON form of the determinism-relevant ScenarioConfig fields.
 /// Two configs with equal scenario_to_json().dump() produce identical
 /// campaigns (for the same algos), which is exactly the resume contract.
-[[nodiscard]] svc::Json scenario_to_json(const ScenarioConfig& cfg);
+[[nodiscard]] util::Json scenario_to_json(const ScenarioConfig& cfg);
 [[nodiscard]] std::optional<ScenarioConfig> scenario_from_json(
-    const svc::Json& j, std::string* error);
+    const util::Json& j, std::string* error);
 
 struct Checkpoint {
   static constexpr int kVersion = 1;
@@ -66,9 +66,9 @@ struct Checkpoint {
   /// trial)-sorted.
   std::vector<QuarantinedTrial> quarantined;
 
-  [[nodiscard]] svc::Json to_json() const;
+  [[nodiscard]] util::Json to_json() const;
   [[nodiscard]] static std::optional<Checkpoint> from_json(
-      const svc::Json& j, std::string* error);
+      const util::Json& j, std::string* error);
 
   /// Atomic write to `path` (write-temp → fsync → rename → fsync dir).
   [[nodiscard]] bool save(const std::string& path,

@@ -8,6 +8,7 @@
 
 #include "obs/trace_context.h"
 #include "util/atomic_file.h"
+#include "util/json.h"
 
 namespace netd::obs {
 
@@ -115,15 +116,11 @@ bool TraceSink::write_chrome_trace(const std::string& path,
     if (!first) out += ",\n";
     first = false;
     out += "{\"ph\":\"X\",\"pid\":1,\"tid\":";
-    std::snprintf(buf, sizeof(buf), "%u", ev.lane);
-    out += buf;
-    out += ",\"name\":\"";
-    out += ev.name;  // span names are identifier-like literals; no escapes
-    out += "\",\"ts\":";
-    std::snprintf(buf, sizeof(buf), "%.3f", ev.start_us);
-    out += buf;
-    out += ",\"dur\":";
-    std::snprintf(buf, sizeof(buf), "%.3f", ev.dur_us);
+    util::append_json_uint(out, ev.lane);
+    out += ",\"name\":";
+    util::append_json_string(out, ev.name);
+    std::snprintf(buf, sizeof(buf), ",\"ts\":%.3f,\"dur\":%.3f", ev.start_us,
+                  ev.dur_us);
     out += buf;
     out += ",\"args\":{\"trace\":\"";
     out += hex_id(ev.trace_id);

@@ -1,9 +1,6 @@
 #include "svc/codec.h"
 
-#include <charconv>
 #include <iterator>
-
-#include "core/json_export.h"
 
 namespace netd::svc {
 
@@ -28,56 +25,34 @@ std::optional<graph::NodeKind> hop_kind_from_tag(std::string_view t) {
 // ---------------------------------------------------------------------------
 // Writer.
 
-void append_string(std::string& out, std::string_view s) {
-  out += '"';
-  core::append_json_escaped(out, s);
-  out += '"';
-}
-
-void append_uint(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, res.ptr);
-}
-
-namespace {
-
-void append_int(std::string& out, long long v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, res.ptr);
-}
-
-}  // namespace
-
 void append_mesh(std::string& out, const probe::Mesh& mesh) {
   out += "{\"paths\":[";
   for (std::size_t i = 0; i < mesh.paths.size(); ++i) {
     const probe::TracePath& p = mesh.paths[i];
     if (i != 0) out += ',';
     out += "{\"src\":";
-    append_uint(out, p.src);
+    util::append_json_uint(out, p.src);
     out += ",\"dst\":";
-    append_uint(out, p.dst);
+    util::append_json_uint(out, p.dst);
     out += p.ok ? ",\"ok\":true,\"hops\":[" : ",\"ok\":false,\"hops\":[";
     for (std::size_t k = 0; k < p.hops.size(); ++k) {
       const probe::Hop& h = p.hops[k];
       out += k != 0 ? ",[" : "[";
-      append_string(out, h.label);
+      util::append_json_string(out, h.label);
       out += ",\"";
       out += hop_kind_tag(h.kind);
       out += "\",";
-      append_int(out, h.asn);
+      util::append_json_int(out, h.asn);
       out += ',';
-      append_int(out, h.router.valid()
-                          ? static_cast<long long>(h.router.value())
-                          : -1);
+      util::append_json_int(out, h.router.valid()
+                                     ? static_cast<long long>(h.router.value())
+                                     : -1);
       out += ']';
     }
     out += "],\"links\":[";
     for (std::size_t k = 0; k < p.links.size(); ++k) {
       if (k != 0) out += ',';
-      append_uint(out, p.links[k].value());
+      util::append_json_uint(out, p.links[k].value());
     }
     out += "]}";
   }

@@ -4,7 +4,8 @@
 // Every full-mesh carrier — the set_baseline/observe/observe_batch
 // frames, the journal's baseline/obs/bobs records and the snapshot's
 // baseline, trace lines, and the agent's spool payload and BASELINE file —
-// is written by the appenders below and read by parse_mesh_doc.
+// is written by append_mesh (with util/json.h's appenders for the
+// document around it) and read by parse_mesh_doc.
 //
 //   * Same bytes out: append_mesh writes exactly mesh_to_json(m).dump().
 //   * Same language in: parse_mesh_doc walks the document once with the
@@ -39,9 +40,6 @@ inline constexpr std::uint64_t kMaxMeshId = topo::LinkId::kInvalid - 1;
 [[nodiscard]] std::optional<graph::NodeKind> hop_kind_from_tag(
     std::string_view tag);
 
-/// `s` as a quoted, escaped JSON string.
-void append_string(std::string& out, std::string_view s);
-void append_uint(std::string& out, std::uint64_t v);
 /// mesh_to_json(mesh).dump(), appended to `out`.
 void append_mesh(std::string& out, const probe::Mesh& mesh);
 

@@ -255,9 +255,9 @@ std::string observation_record(const std::string& src,
   const bool batch = !src.empty();
   std::string out = batch ? "{\"t\":\"bobs\",\"src\":" : "{\"t\":\"obs\"";
   if (batch) {
-    append_string(out, src);
+    util::append_json_string(out, src);
     out += ",\"seq\":";
-    append_uint(out, seq.value_or(0));
+    util::append_json_uint(out, seq.value_or(0));
   }
   out += ",\"mesh\":";
   append_mesh(out, mesh);
@@ -267,7 +267,7 @@ std::string observation_record(const std::string& src,
   }
   if (!batch && seq.has_value()) {
     out += ",\"seq\":";
-    append_uint(out, *seq);
+    util::append_json_uint(out, *seq);
   }
   out += '}';
   return out;

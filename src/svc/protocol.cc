@@ -346,17 +346,17 @@ void append_observation(std::string& out, const probe::Mesh& mesh,
 
 std::string serialize(const Request& req) {
   std::string out = "{\"v\":";
-  append_uint(out, kProtocolVersion);
+  util::append_json_uint(out, kProtocolVersion);
   std::visit(
       [&out](const auto& r) {
         using T = std::decay_t<decltype(r)>;
         auto op = [&out](std::string_view name) {
           member(out, "op");
-          append_string(out, name);
+          util::append_json_string(out, name);
         };
         auto session = [&out](const std::string& name) {
           member(out, "session");
-          append_string(out, name);
+          util::append_json_string(out, name);
         };
         if constexpr (std::is_same_v<T, HelloRequest>) {
           op("hello");
@@ -376,20 +376,20 @@ std::string serialize(const Request& req) {
           append_observation(out, r.mesh, r.cp);
           if (r.seq.has_value()) {
             member(out, "seq");
-            append_uint(out, *r.seq);
+            util::append_json_uint(out, *r.seq);
           }
           append_trace(out, r.trace);
         } else if constexpr (std::is_same_v<T, ObserveBatchRequest>) {
           op("observe_batch");
           session(r.session);
           member(out, "src");
-          append_string(out, r.src);
+          util::append_json_string(out, r.src);
           member(out, "items");
           out += '[';
           for (std::size_t i = 0; i < r.items.size(); ++i) {
             const ObserveItem& item = r.items[i];
             out += i != 0 ? ",{\"seq\":" : "{\"seq\":";
-            append_uint(out, item.seq);
+            util::append_json_uint(out, item.seq);
             append_observation(out, item.mesh, item.cp);
             append_trace(out, item.trace);
             out += '}';
@@ -407,9 +407,9 @@ std::string serialize(const Request& req) {
         } else if constexpr (std::is_same_v<T, EventsRequest>) {
           op("events");
           member(out, "cursor");
-          append_uint(out, r.cursor);
+          util::append_json_uint(out, r.cursor);
           member(out, "cap");
-          append_uint(out, r.cap);
+          util::append_json_uint(out, r.cap);
         } else if constexpr (std::is_same_v<T, ShutdownRequest>) {
           op("shutdown");
         }

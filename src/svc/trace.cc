@@ -14,9 +14,9 @@ namespace {
 /// `{"v":1,"type":"<type>"` — every line's opening; the caller closes it.
 std::string line_header(const char* type) {
   std::string out = "{\"v\":";
-  append_uint(out, kProtocolVersion);
+  util::append_json_uint(out, kProtocolVersion);
   out += ",\"type\":";
-  append_string(out, type);
+  util::append_json_string(out, type);
   return out;
 }
 
@@ -44,7 +44,7 @@ std::string mesh_line(const char* type, const probe::Mesh& mesh,
 std::string diagnosis_line(std::size_t round, std::string_view doc) {
   std::string out = line_header("diagnosis");
   out += ",\"round\":";
-  append_uint(out, round);
+  util::append_json_uint(out, round);
   out += ",\"diagnosis\":";
   out += doc;
   out += '}';

@@ -17,8 +17,8 @@
 #include "agent/spool.h"
 #include "svc/client.h"
 #include "svc/fault.h"
-#include "svc/json.h"
 #include "svc/server.h"
+#include "util/json.h"
 
 namespace netd::agent {
 namespace {
@@ -189,9 +189,9 @@ TEST_F(AgentTest, RedeliveryAfterLostAckIsDedupedExactlyOnce) {
   ASSERT_TRUE(spool->for_each(
       0,
       [&](std::uint64_t seq, std::string_view payload) {
-        const auto doc = svc::Json::parse(std::string(payload));
+        const auto doc = util::Json::parse(std::string(payload));
         EXPECT_TRUE(doc.has_value());
-        const svc::Json* mesh =
+        const util::Json* mesh =
             doc.has_value() ? doc->find("mesh") : nullptr;
         EXPECT_NE(mesh, nullptr);
         std::string merror;

@@ -14,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/runner.h"
@@ -315,7 +316,7 @@ TEST(CheckpointResume, CodecRoundTripsByteIdentically) {
 
   const std::string dumped = ck.to_json().dump();
   std::string error;
-  const auto parsed = svc::Json::parse(dumped, &error);
+  const auto parsed = util::Json::parse(dumped, &error);
   ASSERT_TRUE(parsed.has_value()) << error;
   const auto back = Checkpoint::from_json(*parsed, &error);
   ASSERT_TRUE(back.has_value()) << error;
@@ -329,6 +330,28 @@ TEST(CheckpointResume, CodecRoundTripsByteIdentically) {
   EXPECT_EQ(rt.as_level.at(Algo::kNdLg).sensitivity, am.sensitivity);
   ASSERT_EQ(back->quarantined.size(), 1u);
   EXPECT_EQ(back->quarantined[0].seed, 987654321987654321ull);
+}
+
+TEST(CheckpointResume, CodecRejectsMalformedU64Strings) {
+  // u64s travel as decimal strings: digits only, at most UINT64_MAX.
+  Checkpoint ck;
+  ck.scenario = small_cfg();
+  ck.algos = {Algo::kTomo};
+  const util::Json good = ck.to_json();
+  std::string error;
+  ASSERT_TRUE(Checkpoint::from_json(good, &error).has_value()) << error;
+  for (const auto& [seed, want] :
+       {std::pair{"18446744073709551616", "bad seed"},  // UINT64_MAX + 1
+        std::pair{"12a", "bad seed"}, std::pair{"+1", "bad seed"},
+        std::pair{"", "missing seed"}}) {
+    util::Json j = good;
+    util::Json scenario = *j.find("scenario");
+    scenario.set("seed", util::Json::string(seed));
+    j.set("scenario", std::move(scenario));
+    error.clear();
+    EXPECT_FALSE(Checkpoint::from_json(j, &error).has_value()) << seed;
+    EXPECT_EQ(error, want) << seed;
+  }
 }
 
 TEST(CheckpointResume, FingerprintSeparatesModesAndAlgos) {

@@ -8,13 +8,13 @@
 #include "core/algorithms.h"
 #include "exp/checkpoint.h"
 #include "exp/runner.h"
-#include "svc/json.h"
 #include "util/atomic_file.h"
 #include "probe/prober.h"
 #include "sim/network.h"
 #include "topo/io.h"
 #include "topo/random_internet.h"
 #include "util/flags.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace netd {
@@ -164,12 +164,12 @@ TEST(ParserFuzz, TopoReaderSurvivesGarbage) {
 
 TEST(ParserFuzz, JsonDeepNestingNeverCrashes) {
   // Sweep container nesting around the public depth bound, mixing arrays
-  // and objects: at or under svc::Json::kMaxParseDepth the document
+  // and objects: at or under util::Json::kMaxParseDepth the document
   // parses, beyond it the parser reports "nesting too deep" — never a
   // stack overflow. (The CI sanitizer job runs this under ASan+UBSan.)
   util::Rng rng(44);
-  for (std::size_t depth = svc::Json::kMaxParseDepth - 4;
-       depth <= svc::Json::kMaxParseDepth + 8; ++depth) {
+  for (std::size_t depth = util::Json::kMaxParseDepth - 4;
+       depth <= util::Json::kMaxParseDepth + 8; ++depth) {
     std::string open, close;
     for (std::size_t i = 0; i < depth; ++i) {
       if (rng.bernoulli(0.5)) {
@@ -181,8 +181,8 @@ TEST(ParserFuzz, JsonDeepNestingNeverCrashes) {
       }
     }
     std::string error;
-    const auto j = svc::Json::parse(open + "0" + close, &error);
-    if (depth <= svc::Json::kMaxParseDepth) {
+    const auto j = util::Json::parse(open + "0" + close, &error);
+    if (depth <= util::Json::kMaxParseDepth) {
       EXPECT_TRUE(j.has_value()) << "depth " << depth << ": " << error;
     } else {
       EXPECT_FALSE(j.has_value()) << "depth " << depth;

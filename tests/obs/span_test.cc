@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "exp/runner.h"
-#include "svc/json.h"
 #include "util/atomic_file.h"
+#include "util/json.h"
 
 namespace netd::obs {
 namespace {
@@ -223,23 +223,23 @@ TEST(ChromeTrace, FileIsAValidEventArray) {
 
   const auto text = util::read_file(path, &error);
   ASSERT_TRUE(text.has_value()) << error;
-  const auto doc = svc::Json::parse(*text, &error);
+  const auto doc = util::Json::parse(*text, &error);
   ASSERT_TRUE(doc.has_value()) << error;
   ASSERT_TRUE(doc->is_array());
   ASSERT_EQ(doc->size(), 2u);
   for (std::size_t i = 0; i < doc->size(); ++i) {
-    const svc::Json& ev = (*doc)[i];
+    const util::Json& ev = (*doc)[i];
     ASSERT_TRUE(ev.is_object());
-    const svc::Json* ph = ev.find("ph");
+    const util::Json* ph = ev.find("ph");
     ASSERT_NE(ph, nullptr);
     EXPECT_EQ(ph->as_string(), "X");  // complete events
     for (const char* key : {"pid", "tid", "ts", "dur"}) {
-      const svc::Json* v = ev.find(key);
+      const util::Json* v = ev.find(key);
       ASSERT_NE(v, nullptr) << key;
       EXPECT_TRUE(v->is_number()) << key;
     }
     ASSERT_NE(ev.find("name"), nullptr);
-    const svc::Json* args = ev.find("args");
+    const util::Json* args = ev.find("args");
     ASSERT_NE(args, nullptr);
     ASSERT_NE(args->find("id"), nullptr);
     ASSERT_NE(args->find("trace"), nullptr);
