@@ -103,13 +103,9 @@ Histogram::Histogram(double lo, double growth, std::size_t buckets)
 }
 
 void Histogram::observe(double x) noexcept {
-#ifndef NETD_OBS_DISABLED
   Shard& s = *shards_[thread_shard_slot() % kShards];
   std::lock_guard<std::mutex> lock(s.mu);
   s.h.add(x);
-#else
-  (void)x;
-#endif
 }
 
 util::Histogram Histogram::snapshot() const {

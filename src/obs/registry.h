@@ -8,12 +8,10 @@
 //      sharded by thread (8 cache-line-aligned shards).
 //      Instruments are looked up once (function-local static references
 //      at the call site) so the registry mutex is off the steady path.
-//   2. Compile-out. Configuring with -DNETD_OBS=OFF defines
-//      NETD_OBS_DISABLED, turning every mutating fast path into an empty
-//      inline function the optimizer deletes. Registration, collection
-//      and rendering keep working (instruments simply read as zero), so
-//      the `metrics` wire verb and --metrics-out stay functional in both
-//      configurations — only the numbers go dark.
+//   2. Counts in every build. -DNETD_OBS=OFF compiles span recording and
+//      the event ring out, not the registry: the `stats` verb reports
+//      server behaviour (sheds, dedups) from its counters, so they count
+//      in both configurations, and so do `metrics` and --metrics-out.
 //   3. No teardown hazards. The global registry is a leaky function-local
 //      static; its instruments live forever once registered, so references
 //      cached at call sites never dangle, including during static
@@ -44,19 +42,13 @@ namespace netd::obs {
 class Counter {
  public:
   void inc(std::uint64_t delta = 1) noexcept {
-#ifndef NETD_OBS_DISABLED
     v_.fetch_add(delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
   /// inc(delta) that also makes a nonzero `trace_id` the exemplar; a zero
   /// id keeps the previous one.
   void inc(std::uint64_t delta, std::uint64_t trace_id) noexcept {
     inc(delta);
-#ifndef NETD_OBS_DISABLED
     if (trace_id != 0) exemplar_.store(trace_id, std::memory_order_relaxed);
-#endif
   }
   [[nodiscard]] std::uint64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);
@@ -74,13 +66,7 @@ class Counter {
 /// Last-write-wins instantaneous value.
 class Gauge {
  public:
-  void set(double v) noexcept {
-#ifndef NETD_OBS_DISABLED
-    v_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
-  }
+  void set(double v) noexcept { v_.store(v, std::memory_order_relaxed); }
   [[nodiscard]] double value() const noexcept {
     return v_.load(std::memory_order_relaxed);
   }

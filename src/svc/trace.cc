@@ -71,11 +71,7 @@ void TraceRecorder::round(const probe::Mesh& mesh,
 }
 
 void TraceRecorder::diagnosis(const core::AlgorithmOutput& out) {
-  diagnosis_text(core::to_json(out.graph, out.result));
-}
-
-void TraceRecorder::diagnosis_text(const std::string& doc) {
-  os_ << diagnosis_line(round_, doc) << "\n";
+  os_ << diagnosis_line(round_, core::to_json(out.graph, out.result)) << "\n";
 }
 
 std::string trace_line(const TraceRecord& rec) {

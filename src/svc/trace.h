@@ -54,8 +54,6 @@ class TraceRecorder {
   void round(const probe::Mesh& mesh, const core::ControlPlaneObs* cp);
   /// Records the diagnosis the live run produced after the last round fed.
   void diagnosis(const core::AlgorithmOutput& out);
-  /// Pre-serialized variant (used when the document is already in hand).
-  void diagnosis_text(const std::string& doc);
 
   [[nodiscard]] std::size_t rounds() const { return round_; }
 

@@ -20,27 +20,6 @@
 namespace netd::obs {
 namespace {
 
-/// Everything about a span except its timing: the identity a
-/// deterministic trace must reproduce exactly.
-using Shape = std::tuple<std::string, std::uint64_t, std::uint64_t,
-                         std::uint64_t, std::uint32_t>;
-
-std::set<Shape> shape_of(const std::vector<TraceEvent>& events) {
-  std::set<Shape> out;
-  for (const auto& e : events) {
-    out.insert({e.name, e.trace_id, e.span_id, e.parent_id, e.lane});
-  }
-  return out;
-}
-
-/// Installs the sink for one test body; uninstalls on scope exit so
-/// tests cannot leak an active sink into each other.
-class SinkScope {
- public:
-  SinkScope() { TraceSink::install(); }
-  ~SinkScope() { TraceSink::uninstall(); }
-};
-
 TEST(SpanIds, RootContextIsPureFunctionOfSeedAndIndex) {
   const SpanContext a = Span::root_context(42, 3, 4);
   const SpanContext b = Span::root_context(42, 3, 4);
@@ -64,6 +43,30 @@ TEST(Span, NoSinkRecordsNothing) {
   EXPECT_TRUE(TraceSink::snapshot().empty());
   EXPECT_FALSE(TraceSink::active());
 }
+
+// Everything below records spans, which NETD_OBS=OFF compiles out.
+#ifndef NETD_OBS_DISABLED
+
+/// Everything about a span except its timing: the identity a
+/// deterministic trace must reproduce exactly.
+using Shape = std::tuple<std::string, std::uint64_t, std::uint64_t,
+                         std::uint64_t, std::uint32_t>;
+
+std::set<Shape> shape_of(const std::vector<TraceEvent>& events) {
+  std::set<Shape> out;
+  for (const auto& e : events) {
+    out.insert({e.name, e.trace_id, e.span_id, e.parent_id, e.lane});
+  }
+  return out;
+}
+
+/// Installs the sink for one test body; uninstalls on scope exit so
+/// tests cannot leak an active sink into each other.
+class SinkScope {
+ public:
+  SinkScope() { TraceSink::install(); }
+  ~SinkScope() { TraceSink::uninstall(); }
+};
 
 TEST(Span, AmbientNestingParentsChildren) {
   SinkScope sink;
@@ -259,6 +262,8 @@ TEST(ScopedParentAdoption, ParentsAmbientSpans) {
   EXPECT_EQ(events[0].trace_id, root.trace_id);
   EXPECT_EQ(events[0].lane, root.lane);
 }
+
+#endif  // NETD_OBS_DISABLED
 
 }  // namespace
 }  // namespace netd::obs

@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -73,14 +74,15 @@ TEST(FaultInjectorTest, PassThroughWhenPlanDisabled) {
 }
 
 /// Records one small scenario trace (same shape as the server replay
-/// test) to drive the soak with.
+/// test) to drive the soak with: 24 trials, enough requests that chaos
+/// fires on both sides at every seed.
 std::string record_soak_trace() {
   exp::ScenarioConfig cfg;
   cfg.topo_params.target_ases = 40;
   cfg.topo_params.pool_stubs = 80;
   cfg.topo_params.pool_tier2 = 10;
   cfg.num_placements = 1;
-  cfg.trials_per_placement = 3;
+  cfg.trials_per_placement = 24;
   exp::Runner runner(cfg);
   std::ostringstream os;
   SessionConfig scfg;
@@ -101,6 +103,16 @@ TEST(ChaosSoakTest, ReplayThroughFaultyLinkMatchesRecording) {
   std::string error;
   const auto trace = read_trace(is, &error);
   ASSERT_TRUE(trace.has_value()) << error;
+  // FaultPlan::chaos fires on ~23% of frames, so a side that carries 60
+  // frames sees none with probability 0.77^60 ~ 1.5e-7: both firing
+  // checks below hold on every seed of a sweep. A replay sends one hello
+  // and one request per baseline and round record.
+  const auto requests = 1 + std::count_if(
+      trace->begin(), trace->end(), [](const TraceRecord& rec) {
+        return rec.type == TraceRecord::Type::kBaseline ||
+               rec.type == TraceRecord::Type::kRound;
+      });
+  ASSERT_GE(requests, 60) << "the soak trace is too short to fire reliably";
 
   std::vector<std::uint64_t> seeds = {1, 7, 1337};
   if (const char* env = std::getenv("ND_CHAOS_SEED"); env != nullptr) {

@@ -42,6 +42,10 @@
 #include "svc/json.h"
 #include "svc/protocol.h"
 
+// Span recording and the event ring compile out under NETD_OBS=OFF, and
+// the pipeline under test is made of both.
+#ifndef NETD_OBS_DISABLED
+
 namespace netd::svc {
 namespace {
 
@@ -370,3 +374,5 @@ TEST_F(TracePipeline, OneTraceIdSpansAgentAndServerInTheMergedTimeline) {
 
 }  // namespace
 }  // namespace netd::svc
+
+#endif  // NETD_OBS_DISABLED
