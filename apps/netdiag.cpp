@@ -742,19 +742,8 @@ int cmd_watch(util::Flags& flags) {
   // The persistent failure should actually break pairs: prefer a
   // single-homed sensor's uplink (non-recoverable by construction).
   topo::LinkId fail_victim = rng.pick(pool);
-  for (const auto& s : sensors) {
-    std::size_t uplinks = 0;
-    topo::LinkId last;
-    for (topo::LinkId l : net.topology().links_of(s.attach)) {
-      if (net.topology().link(l).interdomain) {
-        ++uplinks;
-        last = l;
-      }
-    }
-    if (uplinks == 1) {
-      fail_victim = last;
-      break;
-    }
+  if (const auto lone = probe::lone_uplink(net.topology(), sensors)) {
+    fail_victim = *lone;
   }
   const auto snap = net.snapshot();
 
@@ -1399,8 +1388,8 @@ int cmd_wal(util::Flags& flags) {
     std::cerr << "netdiag wal --state-dir DIR [--session NAME] [--json]\n"
                  "verifies and summarizes each session's write-ahead journal:"
                  " record counts,\nLSN ranges, per-source ack watermarks, and"
-                 " why recovery would quarantine it\n(exit 1 when any"
-                 " damage is found)\n";
+                 " why recovery would quarantine it\n(a bad frame, LSN gap,"
+                 " snapshot or content; exit 1 when any damage is found)\n";
     for (const auto& e : flags.errors()) std::cerr << "  " << e << "\n";
     return flags.ok() ? 0 : 2;
   }
@@ -1431,17 +1420,10 @@ int cmd_wal(util::Flags& flags) {
       any_corrupt = true;
       continue;
     }
-    const bool corrupt = !insp.damage.empty();
-    any_corrupt = any_corrupt || corrupt;
-
-    // The snapshot's ack watermarks, then the journal's records above its
-    // floor on top — the same fold recovery performs.
     std::map<std::string, std::uint64_t> acks;
-    auto fold = [&acks](std::string_view text) {
-      const auto doc = util::Json::parse(text, nullptr);
-      if (doc && doc->is_object()) (void)svc::fold_watermarks(*doc, &acks);
-    };
-    if (insp.snapshot.has_value()) fold(*insp.snapshot);
+    const std::string damage = svc::session_damage(insp, &acks);
+    const bool corrupt = !damage.empty();
+    any_corrupt = any_corrupt || corrupt;
     std::size_t records = 0;
     std::uint64_t first_lsn = 0, last_lsn = 0;
     for (const auto& seg : insp.log.segments) {
@@ -1451,15 +1433,6 @@ int cmd_wal(util::Flags& flags) {
         last_lsn = seg.scan.last_seq;
       }
     }
-    // Best effort against a live server: a segment its snapshot pruned
-    // meanwhile only ends the fold early.
-    (void)util::SegmentLog::read(
-        insp.log.segments, insp.wal.value_or(0),
-        [&](std::uint64_t, std::string_view payload) {
-          fold(payload);
-          return true;
-        },
-        nullptr);
 
     if (as_json) {
       util::Json js = util::Json::object();
@@ -1471,8 +1444,8 @@ int cmd_wal(util::Flags& flags) {
       js.set("first_lsn", util::Json::uinteger(first_lsn));
       js.set("last_lsn", util::Json::uinteger(last_lsn));
       js.set("corrupt", util::Json::boolean(corrupt));
-      if (corrupt) {
-        js.set("reason", util::Json::string(insp.damage));
+      if (corrupt) js.set("reason", util::Json::string(damage));
+      if (!insp.damage_file.empty()) {  // stage one located the damage
         js.set("corrupt_file", util::Json::string(insp.damage_file));
         js.set("corrupt_offset", util::Json::uinteger(insp.damage_offset));
       }
@@ -1497,7 +1470,7 @@ int cmd_wal(util::Flags& flags) {
       std::cout << ", lsn " << first_lsn << ".." << last_lsn;
     }
     std::cout << "\n";
-    if (corrupt) std::cout << "  CORRUPT: " << insp.damage << "\n";
+    if (corrupt) std::cout << "  CORRUPT: " << damage << "\n";
     if (insp.log.quarantined_files > 0) {
       std::cout << "  quarantined files: " << insp.log.quarantined_files
                 << "\n";

@@ -122,15 +122,18 @@ def spread(values):
 def judge(values, op, limit, tolerance):
     """The verdict on one series, ok, FAIL or UNRESOLVED; a None series
     (some run lacks it) fails. A series whose spread is inside the
-    tolerance is judged by its median; a wider one is ok only when every
-    value is, and unresolved otherwise."""
+    tolerance is judged by its median; a wider one is ok when every value
+    is, FAIL when none is, and unresolved otherwise."""
     if not values:
         return "FAIL"
     good = OPS[op]
     med, _, _, width = spread(values)
     if width <= tolerance:
         return "ok" if good(med, limit) else "FAIL"
-    return "ok" if all(good(v, limit) for v in values) else "UNRESOLVED"
+    passed = sum(1 for v in values if good(v, limit))
+    if passed == len(values):
+        return "ok"
+    return "FAIL" if passed == 0 else "UNRESOLVED"
 
 
 def verdict(verdicts):

@@ -105,22 +105,10 @@ World build_world(const AgentConfig& cfg) {
       w.has_victim = true;
     }
     // Prefer a single-homed sensor's only uplink: failing a random probed
-    // link usually just reroutes (no alarm), but a lone uplink breaks its
-    // sensor's pairs unrecoverably — the scenario a diagnosis exists for.
-    for (const auto& s : w.sensors) {
-      std::size_t uplinks = 0;
-      topo::LinkId last{};
-      for (const topo::LinkId l : w.topology.links_of(s.attach)) {
-        if (w.topology.link(l).interdomain) {
-          ++uplinks;
-          last = l;
-        }
-      }
-      if (uplinks == 1) {
-        w.victim = last;
-        w.has_victim = true;
-        break;
-      }
+    // link usually just reroutes, and raises no alarm.
+    if (const auto lone = probe::lone_uplink(w.topology, w.sensors)) {
+      w.victim = *lone;
+      w.has_victim = true;
     }
   }
   return w;

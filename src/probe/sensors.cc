@@ -150,4 +150,18 @@ std::vector<Sensor> place_sensors(const Topology& topo, PlacementKind kind,
   return out;
 }
 
+std::optional<topo::LinkId> lone_uplink(const Topology& topo,
+                                        const std::vector<Sensor>& sensors) {
+  const auto uplink = [&topo](topo::LinkId l) {
+    return topo.link(l).interdomain;
+  };
+  for (const auto& s : sensors) {
+    const auto& links = topo.links_of(s.attach);
+    if (std::count_if(links.begin(), links.end(), uplink) == 1) {
+      return *std::find_if(links.begin(), links.end(), uplink);
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace netd::probe

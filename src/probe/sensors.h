@@ -5,6 +5,7 @@
 // Four placement strategies reproduce the paper's Fig. 5 case study.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,5 +43,10 @@ enum class PlacementKind {
 /// must clamp against this before calling place_sensors.
 [[nodiscard]] std::size_t placement_capacity(const topo::Topology& topo,
                                              PlacementKind kind);
+
+/// The only interdomain link of the first sensor whose router has exactly
+/// one, which no reroute can bypass; std::nullopt when none has.
+[[nodiscard]] std::optional<topo::LinkId> lone_uplink(
+    const topo::Topology& topo, const std::vector<Sensor>& sensors);
 
 }  // namespace netd::probe

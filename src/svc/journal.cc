@@ -68,6 +68,70 @@ obs::Counter& snapshot_counter() {
   return c;
 }
 
+/// Decodes a SNAPSHOT but for "wal", which stage one reads;
+/// std::nullopt with `error` on a field that does not decode.
+std::optional<Snapshot> parse_snapshot(std::string_view text,
+                                       std::string* error) {
+  auto fail = [error](std::string what) -> std::optional<Snapshot> {
+    if (error != nullptr) *error = std::move(what);
+    return std::nullopt;
+  };
+  std::string why;
+  auto doc = parse_mesh_doc(text, "baseline", /*items=*/false, &why);
+  if (!doc) return fail(why);
+  const Json& j = doc->rest;
+  const Json* cfg = j.find("config");
+  if (cfg == nullptr) return fail("missing config");
+  auto config = session_config_from_json(*cfg, &why);
+  if (!config) return fail(why);
+  const Json* round = j.find("round");
+  const Json* diagnosis_round = j.find("diagnosis_round");
+  const Json* diagnosis = j.find("diagnosis");
+  const Json* acks = j.find("src_acks");
+  const Json* last_seq = j.find("last_seq");
+  if (!round || !round->as_uint() || !diagnosis_round ||
+      !diagnosis_round->as_uint() || !acks || !acks->is_object() ||
+      (diagnosis && !diagnosis->is_object()) ||
+      (last_seq && !last_seq->as_uint())) {
+    return fail("bad round, diagnosis_round, diagnosis, src_acks or last_seq");
+  }
+  Snapshot snap;
+  snap.state.config = std::move(*config);
+  snap.state.round = *round->as_uint();
+  snap.state.diagnosis_round = *diagnosis_round->as_uint();
+  if (diagnosis != nullptr) snap.state.diagnosis = diagnosis->dump();
+  for (const auto& [src, seq] : acks->members()) {
+    if (!seq.as_uint()) return fail("src_acks must hold unsigned integers");
+    snap.state.src_acks[src] = *seq.as_uint();
+  }
+  // Before observe shared the watermarks, its retry cache held the seq
+  // of the last applied observe.
+  if (last_seq != nullptr) snap.state.src_acks[""] = *last_seq->as_uint();
+  if (doc->mesh.state == MeshMember::State::kAbsent) return snap;
+  snap.baseline = doc->mesh.take(&why);
+  if (!snap.baseline) return fail(why);
+  const Json* det = j.find("detector");
+  const Json* fails = det != nullptr ? det->find("fails") : nullptr;
+  const Json* alarmed = det != nullptr ? det->find("alarmed") : nullptr;
+  // The detector holds nothing until the first round after a baseline
+  // and one entry per pair ever after; any other size would let the
+  // next round index past its arrays.
+  if (fails == nullptr || !fails->is_array() || alarmed == nullptr ||
+      !alarmed->is_array() || fails->size() != alarmed->size() ||
+      (fails->size() != 0 && fails->size() != snap.baseline->paths.size())) {
+    return fail("detector arrays must be empty or one per baseline pair");
+  }
+  for (std::size_t i = 0; i < fails->size(); ++i) {
+    const auto streak = (*fails)[i].as_uint();
+    if (!streak || !(*alarmed)[i].is_bool()) {
+      return fail("detector entries must be streaks and alarm flags");
+    }
+    snap.fails.push_back(*streak);
+    snap.alarmed.push_back((*alarmed)[i].as_bool());
+  }
+  return snap;
+}
+
 /// fsyncs slower than this land in the event ring: on a healthy disk an
 /// fsync is sub-millisecond, and a stalled one is exactly the latency
 /// spike an operator tailing the ring wants to see attributed.
@@ -273,35 +337,83 @@ std::string observation_record(const std::string& src,
   return out;
 }
 
-bool fold_watermarks(const Json& doc,
-                     std::map<std::string, std::uint64_t>* acks) {
-  auto set = [acks](const std::string& src, const Json* seq) {
-    const auto v = seq != nullptr ? seq->as_uint() : std::nullopt;
-    if (v) (*acks)[src] = *v;
-    return v.has_value();
-  };
-  const Json* t = doc.find("t");
-  if (t == nullptr) {
-    const Json* snap = doc.find("src_acks");
-    if (snap == nullptr || !snap->is_object()) return false;
-    for (const auto& [src, seq] : snap->members()) {
-      if (!set(src, &seq)) return false;
+std::string snapshot_document(std::uint64_t wal, const SessionState& state,
+                              const core::Troubleshooter& ts) {
+  Json j = Json::object();
+  // "wal": every record at or below this LSN is folded into this
+  // document; recovery replays only what came after.
+  j.set("wal", Json::uinteger(wal));
+  j.set("config", session_config_to_json(state.config));
+  j.set("round", Json::uinteger(state.round));
+  j.set("diagnosis_round", Json::uinteger(state.diagnosis_round));
+  if (!state.diagnosis.empty()) j.set("diagnosis", Json::raw(state.diagnosis));
+  Json acks = Json::object();
+  for (const auto& [src, seq] : state.src_acks) {
+    acks.set(src, Json::uinteger(seq));
+  }
+  j.set("src_acks", std::move(acks));
+  if (ts.has_baseline()) {
+    std::string baseline;
+    append_mesh(baseline, ts.baseline());
+    j.set("baseline", Json::raw(std::move(baseline)));
+    const auto& det = ts.detector();
+    Json fails = Json::array();
+    for (const std::size_t f : det.consecutive_failures()) {
+      fails.push_back(Json::uinteger(f));
     }
-    // Before observe shared the watermarks, its retry cache held the seq
-    // of the last applied observe.
-    const Json* last = doc.find("last_seq");
-    return last == nullptr || set("", last);
+    Json alarmed = Json::array();
+    for (const bool a : det.alarm_flags()) alarmed.push_back(Json::boolean(a));
+    Json d = Json::object();
+    d.set("fails", std::move(fails));
+    d.set("alarmed", std::move(alarmed));
+    j.set("detector", std::move(d));
   }
-  if (!t->is_string()) return false;
-  if (t->as_string() == "baseline") acks->clear();
-  if (t->as_string() == "obs") {
-    const Json* seq = doc.find("seq");
-    return seq == nullptr || set("", seq);
+  return j.dump() + "\n";
+}
+
+SessionReader::SessionReader(const std::optional<std::string>& text) {
+  if (!text.has_value()) return;
+  std::string why;
+  snapshot = parse_snapshot(*text, &why);
+  if (!snapshot) {
+    refused = std::string(kSnapshotName) + ": " + why;
+    return;
   }
-  if (t->as_string() != "bobs") return true;
-  const Json* src = doc.find("src");
-  return src != nullptr && src->is_string() &&
-         set(src->as_string(), doc.find("seq"));
+  rules.config = true;
+  if (snapshot->baseline) rules.baseline(*snapshot->baseline);
+  rules.watermarks = snapshot->state.src_acks;
+}
+
+std::optional<TraceRecord> SessionReader::next(std::uint64_t lsn,
+                                               std::string_view payload) {
+  if (!refused.empty()) return std::nullopt;
+  std::string why;
+  auto rec = parse_journal_record(payload, &why);
+  if (!rec || !rules.admit(*rec, &why)) {
+    refused = "record LSN " + std::to_string(lsn) + ": " + why;
+    return std::nullopt;
+  }
+  return rec;
+}
+
+std::string SessionReader::damage() const {
+  if (!refused.empty() || rules.config) return refused;
+  return "neither a SNAPSHOT nor a hello record names the session config";
+}
+
+std::string session_damage(const Inspection& insp,
+                           std::map<std::string, std::uint64_t>* watermarks) {
+  SessionReader reader(insp.snapshot);
+  const bool whole = util::SegmentLog::read(
+      insp.log.segments, insp.wal.value_or(0),
+      [&reader](std::uint64_t lsn, std::string_view payload) {
+        return reader.next(lsn, payload).has_value();
+      },
+      nullptr);
+  *watermarks = std::move(reader.rules.watermarks);
+  if (!insp.damage.empty()) return insp.damage;
+  // Cut short by a pruned segment, only the records read are judged.
+  return whole ? reader.damage() : reader.refused;
 }
 
 // ---------------------------------------------------------------------------

@@ -26,11 +26,11 @@
 // the newest segment is a torn tail (the server was SIGKILLed
 // mid-append — truncate and resume), while a CRC mismatch, an LSN that
 // goes backwards, or any LSN gap is corruption the append path cannot
-// produce. Corruption quarantines the whole session journal (every
-// segment plus the snapshot, renamed *.quarantined — never deleted, and
-// never repaired first) and the session degrades to the protocol's
-// amnesia path: agents get unknown_session, re-hello, and re-ship from
-// their spools.
+// produce, and so is content it cannot write (StreamRules). Corruption
+// quarantines the whole session journal (every segment plus the
+// snapshot, renamed *.quarantined — never deleted, and never repaired
+// first) and the session degrades to the protocol's amnesia path: agents
+// get unknown_session, re-hello, and re-ship from their spools.
 #pragma once
 
 #include <cstddef>
@@ -43,8 +43,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/troubleshooter.h"
 #include "svc/json.h"
 #include "svc/protocol.h"
+#include "svc/trace.h"
 #include "util/segment_log.h"
 
 namespace netd::svc {
@@ -92,39 +94,85 @@ void register_journal_metrics();
     const std::string& state_dir);
 
 // ---------------------------------------------------------------------------
-// Read-only inspection: the `netdiag wal` verb renders it, and recovery
-// acts on the very same verdict.
+// SNAPSHOT: a session's whole state as one JSON document. This module
+// writes and reads every field of it.
+
+/// What a session holds besides its troubleshooter.
+struct SessionState {
+  SessionConfig config;
+  std::size_t round = 0;            ///< observation rounds fed so far
+  std::size_t diagnosis_round = 0;  ///< round of last fired diagnosis
+  std::string diagnosis;            ///< last diagnosis document ("" = none)
+  /// Ack watermarks: the highest seq applied from each source, "" being
+  /// the observe verb; a sequenced observation at or below its source's
+  /// is skipped, so retries and redeliveries apply once. A baseline
+  /// clears them: an agent that re-ships it re-ships all after it.
+  std::map<std::string, std::uint64_t> src_acks;
+};
+
+/// The SNAPSHOT text of `state` and of `ts`'s baseline and detector
+/// streaks, covering the journal through LSN `wal`.
+[[nodiscard]] std::string snapshot_document(std::uint64_t wal,
+                                            const SessionState& state,
+                                            const core::Troubleshooter& ts);
+
+/// A SNAPSHOT, decoded: every field a session resumes from.
+struct Snapshot {
+  SessionState state;
+  std::optional<probe::Mesh> baseline;
+  std::vector<std::size_t> fails;  ///< the detector's per-pair streaks
+  std::vector<bool> alarmed;
+};
+
+// ---------------------------------------------------------------------------
+// The verdict on a session directory, in two stages: recovery acts on it
+// and the `netdiag wal` verb renders it.
 
 struct Inspection {
   std::optional<std::string> snapshot;  ///< raw SNAPSHOT bytes
   /// The snapshot's LSN floor; unset without a readable snapshot.
   std::optional<std::uint64_t> wal;
   util::SegmentLog::Listing log;        ///< wal-*.ndj, append order
-  /// Why recovery quarantines this journal; empty = it recovers.
+  /// Why stage one condemns this journal; empty = stage two judges it.
   std::string damage;
-  std::string damage_file;          ///< the file the damage was found in
+  std::string damage_file;          ///< where stage one found the damage
   std::uint64_t damage_offset = 0;  ///< its first distrusted byte
 };
 
-/// Reads and judges one session directory without mutating it. False
-/// with `error` when a file cannot be read.
+/// Stage one: judges a session directory's bytes without mutating it or
+/// looking inside a record. False with `error` when a file can't be read.
 [[nodiscard]] bool inspect_session_dir(const std::string& dir,
                                        Inspection* out, std::string* error);
 
-/// Folds one SNAPSHOT document (it has no "t") or journal record into
-/// per-source ack watermarks — the one rule recovery and `netdiag wal`
-/// share. A snapshot seeds them from `src_acks`, and from `last_seq` as
-/// source "" when an older server wrote it; a `baseline` record clears
-/// them; an `obs` record with a seq (source "") or a `bobs` record sets
-/// its source's watermark to that seq. False when a field it reads is
-/// malformed.
-[[nodiscard]] bool fold_watermarks(const Json& doc,
-                                   std::map<std::string, std::uint64_t>* acks);
+/// Stage two, over the content: decodes the SNAPSHOT, then each journal
+/// record above its floor, and admits them with StreamRules. Damage is
+/// what does not decode, what the rules refuse, or a stream with no config.
+struct SessionReader {
+  explicit SessionReader(const std::optional<std::string>& text);
+
+  /// The record at `lsn`, admitted; std::nullopt once damaged.
+  [[nodiscard]] std::optional<TraceRecord> next(std::uint64_t lsn,
+                                                std::string_view payload);
+  /// `refused`, or a stream that named no config; empty = it recovers.
+  [[nodiscard]] std::string damage() const;
+
+  std::optional<Snapshot> snapshot;  ///< decoded, for the caller to take
+  StreamRules rules;                 ///< with the stream's watermarks
+  std::string refused;  ///< why the SNAPSHOT or a record was refused
+};
+
+/// Both stages on an inspected directory, as `netdiag wal` renders them:
+/// stage one's damage, else a SessionReader's over the records above the
+/// floor; empty = it recovers. Sets `watermarks` to the ones it folds. A
+/// segment a live server prunes mid-read ends the read, and is no damage.
+[[nodiscard]] std::string session_damage(
+    const Inspection& insp, std::map<std::string, std::uint64_t>* watermarks);
 
 // Journal record payloads: one compact JSON document per mutation,
-// carrying exactly the request fields the handler applied — replay feeds
-// them back through the same apply path, which is what makes a recovered
-// session byte-identical to the uninterrupted one.
+// carrying exactly the request fields the handler applied, and read back
+// by parse_journal_record (trace.h) — replay feeds them through the same
+// apply path, which is what makes a recovered session byte-identical to
+// the uninterrupted one.
 
 /// The record that creates a session: {"t":"hello","config":..}.
 [[nodiscard]] std::string hello_record(const SessionConfig& cfg);
@@ -205,8 +253,8 @@ class SessionJournal {
   [[nodiscard]] bool commit_snapshot(const std::string& doc,
                                      std::string* error);
 
-  /// Renames every journal file to *.quarantined. Used when record
-  /// *content* (not framing) fails to parse during replay.
+  /// Renames every journal file to *.quarantined. Used when the content
+  /// (not the framing) is damaged: SessionReader refused the stream.
   [[nodiscard]] bool quarantine_all(std::string* error);
 
   [[nodiscard]] std::uint64_t last_lsn() const { return log_->last_seq(); }

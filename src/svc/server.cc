@@ -484,19 +484,6 @@ std::shared_ptr<Server::Session> Server::find_session(
 
 namespace {
 
-// Strict-enough field readers for documents only this process writes; a
-// failed read is corruption and quarantines the journal.
-const Json* get_obj(const Json& j, std::string_view key) {
-  const Json* v = j.find(key);
-  return v != nullptr && v->is_object() ? v : nullptr;
-}
-
-std::optional<std::uint64_t> get_u64_field(const Json& j,
-                                           std::string_view key) {
-  const Json* v = j.find(key);
-  return v != nullptr ? v->as_uint() : std::nullopt;
-}
-
 /// The source the observe verb's seqs count under. observe_batch rejects
 /// an empty `src`, so no agent can share its watermark.
 const std::string kObserveSrc;
@@ -563,41 +550,6 @@ void Server::count_dedups(const std::string& session, const std::string& src,
                          trace_id, n);
 }
 
-Json Server::snapshot_doc(const Session& s) {
-  Json j = Json::object();
-  // "wal": every record at or below this LSN is folded into this
-  // document; recovery replays only what came after.
-  j.set("wal", Json::uinteger(s.journal->last_lsn()));
-  j.set("config", session_config_to_json(s.config));
-  j.set("round", Json::uinteger(s.round));
-  j.set("diagnosis_round", Json::uinteger(s.diagnosis_round));
-  if (!s.diagnosis.empty()) j.set("diagnosis", Json::raw(s.diagnosis));
-  Json acks = Json::object();
-  for (const auto& [src, seq] : s.src_acks) {
-    acks.set(src, Json::uinteger(seq));
-  }
-  j.set("src_acks", std::move(acks));
-  if (s.ts.has_baseline()) {
-    std::string baseline;
-    append_mesh(baseline, s.ts.baseline());
-    j.set("baseline", Json::raw(std::move(baseline)));
-    const auto& det = s.ts.detector();
-    Json fails = Json::array();
-    for (const std::size_t f : det.consecutive_failures()) {
-      fails.push_back(Json::uinteger(f));
-    }
-    Json alarmed = Json::array();
-    for (const bool a : det.alarm_flags()) {
-      alarmed.push_back(Json::boolean(a));
-    }
-    Json d = Json::object();
-    d.set("fails", std::move(fails));
-    d.set("alarmed", std::move(alarmed));
-    j.set("detector", std::move(d));
-  }
-  return j;
-}
-
 void Server::journal_append(Session& s, const std::string& payload) {
   // Ambient: nests under the handler's rx_* span, so a traced frame's
   // timeline shows how long the WAL write (and its fsync) took.
@@ -614,7 +566,8 @@ void Server::journal_append(Session& s, const std::string& payload) {
   if (s.journal->snapshot_due()) {
     // A failed snapshot commit is survivable (longer replay next start);
     // commit_snapshot itself degrades to continued journaling.
-    (void)s.journal->commit_snapshot(snapshot_doc(s).dump() + "\n", &error);
+    (void)s.journal->commit_snapshot(
+        snapshot_document(s.journal->last_lsn(), s, s.ts), &error);
   }
 }
 
@@ -630,121 +583,40 @@ std::unique_ptr<SessionJournal> Server::open_journal(
 
 std::shared_ptr<Server::Session> Server::recover_one_session(
     std::unique_ptr<SessionJournal> journal) {
-  // Content-level corruption (framing was already validated by open):
-  // quarantine the whole journal and report no session — the amnesia
-  // protocol takes over for its agents.
-  auto corrupt = [this, &journal]() -> std::shared_ptr<Session> {
-    std::string error;
-    obs::EventRing::record(obs::EventKind::kQuarantine, journal->dir());
-    (void)journal->quarantine_all(&error);
-    counters_[kJournalSessionsQuarantined]->inc();
-    return nullptr;
-  };
-  std::string error;
-  // A SNAPSHOT or hello record's config; nullptr when it does not resolve.
-  auto session_from = [&error](const Json& doc) -> std::shared_ptr<Session> {
-    const Json* cfg_json = get_obj(doc, "config");
-    const auto cfg = cfg_json != nullptr
-                         ? session_config_from_json(*cfg_json, &error)
-                         : std::nullopt;
-    const auto resolved = cfg ? cfg->resolve(&error) : std::nullopt;
-    return resolved ? std::make_shared<Session>(*cfg, *resolved) : nullptr;
-  };
-
+  // open judged the framing; the reader judges the content.
+  SessionReader reader(journal->snapshot());
   std::shared_ptr<Session> s;
-  if (journal->snapshot().has_value()) {
-    auto snap = parse_mesh_doc(*journal->snapshot(), "baseline",
-                               /*items=*/false, &error);
-    if (!snap || !snap->rest.is_object()) return corrupt();
-    const Json* doc = &snap->rest;
-    s = session_from(*doc);
-    const auto round = get_u64_field(*doc, "round");
-    const auto diagnosis_round = get_u64_field(*doc, "diagnosis_round");
-    if (s == nullptr || !round || !diagnosis_round ||
-        !fold_watermarks(*doc, &s->src_acks)) {
-      return corrupt();
-    }
-    s->round = *round;
-    s->diagnosis_round = *diagnosis_round;
-    if (const Json* d = doc->find("diagnosis"); d != nullptr) {
-      if (!d->is_object()) return corrupt();
-      s->diagnosis = d->dump();
-    }
-    if (snap->mesh.state != MeshMember::State::kAbsent) {
-      auto mesh = snap->mesh.take(&error);
-      const Json* det = get_obj(*doc, "detector");
-      if (!mesh || det == nullptr) return corrupt();
-      const Json* fails = det->find("fails");
-      const Json* alarmed = det->find("alarmed");
-      // The detector holds nothing until the first round after a baseline
-      // and one entry per pair ever after; any other size would let the
-      // next round index past its arrays.
-      if (fails == nullptr || !fails->is_array() || alarmed == nullptr ||
-          !alarmed->is_array() || fails->size() != alarmed->size() ||
-          (fails->size() != 0 && fails->size() != mesh->paths.size())) {
-        return corrupt();
-      }
-      std::vector<std::size_t> f(fails->size());
-      std::vector<bool> a(alarmed->size());
-      for (std::size_t i = 0; i < fails->size(); ++i) {
-        const auto streak = (*fails)[i].as_uint();
-        if (!streak || !(*alarmed)[i].is_bool()) return corrupt();
-        f[i] = *streak;
-        a[i] = (*alarmed)[i].as_bool();
-      }
-      s->ts.restore(std::move(*mesh), std::move(f), std::move(a));
+  auto create = [&s](const SessionConfig& config) {  // decoding resolved it
+    s = std::make_shared<Session>(config, config.resolve(nullptr).value());
+  };
+  if (auto& snap = reader.snapshot) {
+    create(snap->state.config);
+    static_cast<SessionState&>(*s) = std::move(snap->state);
+    if (snap->baseline) {
+      s->ts.restore(std::move(*snap->baseline), std::move(snap->fails),
+                    std::move(snap->alarmed));
     }
   }
-
   for (const auto& [lsn, payload] : journal->records()) {
-    (void)lsn;
-    auto doc = parse_mesh_doc(payload, "mesh", /*items=*/false, &error);
-    if (!doc || !doc->rest.is_object()) return corrupt();
-    const Json* rec = &doc->rest;
-    const Json* t = rec->find("t");
-    if (t == nullptr || !t->is_string()) return corrupt();
-    const std::string& type = t->as_string();
-    if (type == "hello") {
-      // Only legal as the very first record of a journal with no
-      // snapshot — it is what created the session.
-      if (s != nullptr) return corrupt();
-      s = session_from(*rec);
-      if (s == nullptr) return corrupt();
-      counters_[kJournalReplayedRecords]->inc();
-      continue;
-    }
-    // Every other record carries a mesh, and a seq only moves its
-    // source's watermark: replay applies every record it admits.
-    if (s == nullptr || !fold_watermarks(*rec, &s->src_acks)) {
-      return corrupt();
-    }
-    auto mesh = doc->mesh.state == MeshMember::State::kAbsent
-                    ? std::nullopt
-                    : doc->mesh.take(&error);
-    if (!mesh) return corrupt();
-    if (type == "baseline") {
-      set_baseline(*s, std::move(*mesh));
-    } else if (type == "obs" || type == "bobs") {
-      std::optional<core::ControlPlaneObs> cp;
-      if (const Json* cp_json = rec->find("cp"); cp_json != nullptr) {
-        cp = cp_from_json(*cp_json, &error);
-        if (!cp) return corrupt();
-      }
-      if (ingest(*s, kObserveSrc, std::nullopt, *mesh, cp ? &*cp : nullptr,
-                 /*live=*/false)
-              .rejected) {
-        return corrupt();
-      }
+    auto rec = reader.next(lsn, payload);
+    if (!rec) break;
+    // Admitted, so ingest admits a round too; journals hold no diagnoses.
+    if (rec->type == TraceRecord::Type::kConfig) {
+      create(rec->config);
+    } else if (rec->type == TraceRecord::Type::kBaseline) {
+      set_baseline(*s, std::move(rec->mesh));
     } else {
-      return corrupt();
+      (void)ingest(*s, kObserveSrc, std::nullopt, rec->mesh,
+                   rec->cp ? &*rec->cp : nullptr, /*live=*/false);
     }
     counters_[kJournalReplayedRecords]->inc();
   }
-  if (s == nullptr) {
-    // A journal with neither snapshot nor hello record names no session
-    // config; nothing can be rebuilt from it.
-    return corrupt();
+  if (!reader.damage().empty()) {
+    std::string error;
+    (void)journal->quarantine_all(&error);
+    return nullptr;
   }
+  s->src_acks = std::move(reader.rules.watermarks);
   journal->drop_replay_buffer();
   s->journal = std::move(journal);
   return s;
@@ -757,19 +629,19 @@ bool Server::recover_sessions(std::string* error) {
     SessionJournal::RecoveryStats stats;
     std::string open_error;
     auto journal = open_journal(dir_name, &stats, &open_error);
-    if (journal == nullptr) {
-      if (stats.quarantined) {
-        // Framing-level corruption: the journal already renamed its
-        // files aside; this session's agents will re-hello and re-ship.
-        counters_[kJournalSessionsQuarantined]->inc();
-        obs::EventRing::record(obs::EventKind::kQuarantine, dir_name);
-        continue;
-      }
+    if (journal == nullptr && !stats.quarantined) {
       if (error != nullptr) *error = open_error;
       return false;
     }
-    auto session = recover_one_session(std::move(journal));
-    if (session == nullptr) continue;  // quarantined during replay
+    auto session =
+        journal != nullptr ? recover_one_session(std::move(journal)) : nullptr;
+    if (session == nullptr) {
+      // Damaged framing or content: every file is renamed aside, and this
+      // session's agents will re-hello and re-ship.
+      counters_[kJournalSessionsQuarantined]->inc();
+      obs::EventRing::record(obs::EventKind::kQuarantine, dir_name);
+      continue;
+    }
     sessions_.emplace(*session_name, std::move(session));
     counters_[kJournalSessionsRecovered]->inc();
   }

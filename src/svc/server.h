@@ -152,27 +152,18 @@ class Server {
   [[nodiscard]] std::string metrics_prometheus() const;
 
  private:
-  struct Session {
+  /// The state a SNAPSHOT stores, troubleshooter and journal, under `mu`.
+  struct Session : SessionState {
     std::mutex mu;
-    SessionConfig config;
     core::Troubleshooter ts;
-    std::size_t round = 0;           ///< observation rounds fed so far
-    std::size_t diagnosis_round = 0; ///< round of last fired diagnosis
-    std::string diagnosis;           ///< last diagnosis document ("" = none)
-    /// Ack watermarks: the highest seq applied from each source, "" being
-    /// the observe verb. A sequenced observation at or below its source's
-    /// watermark is skipped, which is what makes retries and spool
-    /// redelivery idempotent. Cleared by set_baseline — a new baseline
-    /// starts a new epoch, and an agent that re-ships its baseline
-    /// re-ships everything after it.
-    std::map<std::string, std::uint64_t> src_acks;
-    /// Write-ahead journal (guarded by `mu` like the rest of the
-    /// session). Null when the server is ephemeral or this session's
-    /// journal failed and was degraded to in-memory-only.
+    /// Write-ahead journal. Null when the server is ephemeral or this
+    /// session's journal failed and was degraded to in-memory-only.
     std::unique_ptr<SessionJournal> journal;
 
     Session(SessionConfig cfg, core::Troubleshooter::Config resolved)
-        : config(std::move(cfg)), ts(resolved) {}
+        : ts(resolved) {
+      config = std::move(cfg);
+    }
   };
 
   void accept_loop();
@@ -208,8 +199,8 @@ class Server {
   /// below its source's watermark is skipped. Otherwise it must be
   /// admitted — the session holds a baseline and the mesh covers the
   /// baseline's (src, dst) pairs in the baseline's order — and is
-  /// applied; a live one then moves its source's watermark
-  /// and is journaled (replay folds watermarks with fold_watermarks).
+  /// applied; a live one then moves its source's watermark and is
+  /// journaled (recovery takes the watermarks SessionReader folds).
   /// Caller holds `s.mu`.
   Ingested ingest(Session& s, const std::string& src,
                   std::optional<std::uint64_t> seq, const probe::Mesh& mesh,
@@ -226,16 +217,13 @@ class Server {
   /// Caller holds `s.mu` (or owns the session exclusively). Callers build
   /// the record only for a journaled session.
   void journal_append(Session& s, const std::string& payload);
-  /// The session's full state as a snapshot document covering every
-  /// journaled record up to the journal's last LSN.
-  [[nodiscard]] static Json snapshot_doc(const Session& s);
   /// start()-time recovery: sweeps <state_dir>/sessions and rebuilds
   /// every recoverable session; corrupt journals are quarantined and
   /// their sessions left unregistered (amnesia). Only IO failures that
   /// make the state dir unusable return false.
   [[nodiscard]] bool recover_sessions(std::string* error);
-  /// Rebuilds one session from its journal; nullptr = quarantined or
-  /// unrecoverable (already handled).
+  /// Rebuilds one session from its journal, judged and applied one
+  /// record at a time by a SessionReader; nullptr = quarantined.
   [[nodiscard]] std::shared_ptr<Session> recover_one_session(
       std::unique_ptr<SessionJournal> journal);
   /// Opens the journal under <state_dir>/sessions/<dir_name>.

@@ -88,49 +88,70 @@ std::string trace_line(const TraceRecord& rec) {
   return "";
 }
 
-std::optional<TraceRecord> parse_trace_line(std::string_view line,
-                                            std::string* error) {
+namespace {
+
+/// A trace line, or with `journal` a journal record: they differ in the
+/// type's key and names, the version, diagnoses, and src and seq.
+std::optional<TraceRecord> parse_record(std::string_view text, bool journal,
+                                        std::string* error) {
   auto fail = [error](std::string what) {
     if (error != nullptr) *error = std::move(what);
     return std::nullopt;
   };
   std::string why;
-  auto doc = parse_mesh_doc(line, "mesh", /*items=*/false, &why);
+  auto doc = parse_mesh_doc(text, "mesh", /*items=*/false, &why);
   if (!doc) return fail(why);
   const Json& j = doc->rest;
   if (!j.is_object()) return fail("not a JSON object");
   const Json* v = j.find("v");
-  if (v == nullptr || v->as_uint() != std::uint64_t{kProtocolVersion}) {
+  if (!journal &&
+      (v == nullptr || v->as_uint() != std::uint64_t{kProtocolVersion})) {
     return fail("field 'v' must be trace version 1");
   }
-  const Json* type = j.find("type");
+  const Json* type = j.find(journal ? "t" : "type");
   if (type == nullptr || !type->is_string()) {
     return fail("missing record type");
   }
   const std::string& name = type->as_string();
+  const bool batch = journal && name == "bobs";
   TraceRecord rec;
-  if (name == "config") {
+  if (name == (journal ? "hello" : "config")) {
     const Json* cfg = j.find("config");
     if (cfg == nullptr) return fail("missing config");
     auto parsed = session_config_from_json(*cfg, &why);
     if (!parsed) return fail(why);
     rec.type = TraceRecord::Type::kConfig;
     rec.config = std::move(*parsed);
-  } else if (name == "baseline" || name == "round") {
+  } else if (name == "baseline" || name == (journal ? "obs" : "round") ||
+             batch) {
     if (doc->mesh.state == MeshMember::State::kAbsent) {
       return fail("missing mesh");
     }
     auto parsed = doc->mesh.take(&why);
     if (!parsed) return fail(why);
     rec.mesh = std::move(*parsed);
-    rec.type = name == "baseline" ? TraceRecord::Type::kBaseline
-                                  : TraceRecord::Type::kRound;
-    if (const Json* cp = j.find("cp"); cp != nullptr && name == "round") {
+    if (name == "baseline") {
+      rec.type = TraceRecord::Type::kBaseline;
+      return rec;
+    }
+    rec.type = TraceRecord::Type::kRound;
+    if (const Json* cp = j.find("cp"); cp != nullptr) {
       auto obs = cp_from_json(*cp, &why);
       if (!obs) return fail(why);
       rec.cp = std::move(*obs);
     }
-  } else if (name == "diagnosis") {
+    // parse_request's rules for the observe_batch item and the observe
+    // frame a journal's round was applied from.
+    if (const Json* src = j.find("src"); batch) {
+      if (src == nullptr || !src->is_string()) return fail("missing src");
+      if (src->as_string().empty()) return fail("src must not be empty");
+      rec.src = src->as_string();
+    }
+    if (const Json* seq = j.find("seq"); journal && (seq != nullptr || batch)) {
+      rec.seq = seq != nullptr ? seq->as_uint() : std::nullopt;
+      if (rec.seq.value_or(0) == 0) return fail("seq must be >= 1");
+    }
+  } else if (name == "diagnosis" && !journal) {
     const Json* round = j.find("round");
     const Json* diagnosis = j.find("diagnosis");
     if (round == nullptr || !round->is_number() || diagnosis == nullptr ||
@@ -138,12 +159,62 @@ std::optional<TraceRecord> parse_trace_line(std::string_view line,
       return fail("diagnosis needs round + diagnosis object");
     }
     rec.type = TraceRecord::Type::kDiagnosis;
-    rec.round = round->as_uint().value_or(0);  // read_trace checks it
+    rec.round = round->as_uint().value_or(0);  // StreamRules checks it
     rec.diagnosis = diagnosis->dump();
   } else {
     return fail("unknown record type '" + name + "'");
   }
   return rec;
+}
+
+}  // namespace
+
+std::optional<TraceRecord> parse_trace_line(std::string_view line,
+                                            std::string* error) {
+  return parse_record(line, /*journal=*/false, error);
+}
+
+std::optional<TraceRecord> parse_journal_record(std::string_view payload,
+                                                std::string* error) {
+  return parse_record(payload, /*journal=*/true, error);
+}
+
+bool StreamRules::admit(const TraceRecord& rec, std::string* error) {
+  const char* refused = nullptr;
+  if (rec.type == TraceRecord::Type::kConfig) {
+    if (config) refused = "config must be the first record";
+    config = true;
+  } else if (rec.type == TraceRecord::Type::kDiagnosis) {
+    if (round == 0) {
+      refused = "diagnosis before any round";
+    } else if (rec.round != round) {
+      refused = "diagnosis round does not match the stream";
+    }
+  } else if (!config) {
+    refused = "config record must come first";
+  } else if (rec.type == TraceRecord::Type::kBaseline) {
+    baseline(rec.mesh);
+  } else if (!pairs.has_value()) {
+    refused = "round before baseline";
+  } else {
+    // A healthy round becomes the troubleshooter's baseline, so every
+    // round of an episode must fit the episode's baseline record.
+    if (!round_fits_baseline(*pairs, rec.mesh, error)) return false;
+    ++round;
+    if (rec.seq.has_value()) watermarks[rec.src] = *rec.seq;
+  }
+  if (refused != nullptr && error != nullptr) *error = refused;
+  return refused == nullptr;
+}
+
+void StreamRules::baseline(const probe::Mesh& mesh) {
+  pairs.emplace().paths.resize(mesh.paths.size());
+  for (std::size_t k = 0; k < mesh.paths.size(); ++k) {
+    pairs->paths[k].src = mesh.paths[k].src;
+    pairs->paths[k].dst = mesh.paths[k].dst;
+  }
+  round = 0;
+  watermarks.clear();
 }
 
 std::optional<std::vector<TraceRecord>> read_trace(std::istream& is,
@@ -156,54 +227,18 @@ std::optional<std::vector<TraceRecord>> read_trace(std::istream& is,
   };
 
   std::vector<TraceRecord> out;
+  StreamRules rules;
   std::string line;
   std::size_t line_no = 0;
-  bool have_baseline = false;
-  std::size_t baseline_at = 0;  // index in `out` of the episode's baseline
-  std::size_t round_in_episode = 0;
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) continue;
     std::string why;
     auto rec = parse_trace_line(line, &why);
-    if (!rec) return fail(line_no, why);
-    switch (rec->type) {
-      case TraceRecord::Type::kConfig:
-        if (!out.empty()) {
-          return fail(line_no, "config must be the first record");
-        }
-        break;
-      case TraceRecord::Type::kBaseline:
-        if (out.empty()) return fail(line_no, "config record must come first");
-        have_baseline = true;
-        baseline_at = out.size();
-        round_in_episode = 0;
-        break;
-      case TraceRecord::Type::kRound:
-        if (out.empty()) return fail(line_no, "config record must come first");
-        if (!have_baseline) return fail(line_no, "round before baseline");
-        // A healthy round becomes the troubleshooter's baseline, so every
-        // round of an episode must fit the episode's baseline record.
-        if (!round_fits_baseline(out[baseline_at].mesh, rec->mesh, &why)) {
-          return fail(line_no, why);
-        }
-        ++round_in_episode;
-        break;
-      case TraceRecord::Type::kDiagnosis:
-        if (round_in_episode == 0) {
-          return fail(line_no, "diagnosis before any round");
-        }
-        if (rec->round != round_in_episode) {
-          return fail(line_no, "diagnosis round does not match the stream");
-        }
-        break;
-    }
+    if (!rec || !rules.admit(*rec, &why)) return fail(line_no, why);
     out.push_back(std::move(*rec));
   }
   if (out.empty()) return fail(0, "empty trace");
-  if (out.front().type != TraceRecord::Type::kConfig) {
-    return fail(1, "first record must be config");
-  }
   return out;
 }
 
@@ -250,130 +285,95 @@ void compare_events(const std::vector<DiagEvent>& recorded,
   }
 }
 
-std::vector<DiagEvent> recorded_events(const std::vector<TraceRecord>& trace) {
-  std::vector<DiagEvent> events;
-  std::size_t episode = 0;
+/// The one replay loop: `feed(rec, &diagnosis)` takes the config, each
+/// baseline and each round, sets `diagnosis` when a round fired one, and
+/// returns the mismatch that ends the replay, or "".
+template <typename Feed>
+ReplayResult replay(const std::vector<TraceRecord>& trace, Feed feed) {
+  ReplayResult result;
+  if (trace.empty() || trace.front().type != TraceRecord::Type::kConfig) {
+    result.mismatches.push_back("trace has no config record");
+    return result;
+  }
+  std::vector<DiagEvent> recorded, produced;
+  std::size_t round = 0;  // in the episode; result.baselines counts those
   for (const auto& rec : trace) {
-    if (rec.type == TraceRecord::Type::kBaseline) ++episode;
     if (rec.type == TraceRecord::Type::kDiagnosis) {
-      events.push_back({episode, rec.round, rec.diagnosis});
+      recorded.push_back({result.baselines, rec.round, rec.diagnosis});
+      continue;
+    }
+    if (rec.type == TraceRecord::Type::kConfig && &rec != &trace.front()) {
+      continue;
+    }
+    std::optional<std::string> diagnosis;
+    if (std::string mismatch = feed(rec, &diagnosis); !mismatch.empty()) {
+      result.mismatches.push_back(std::move(mismatch));
+      return result;
+    }
+    if (rec.type == TraceRecord::Type::kBaseline) {
+      ++result.baselines;
+      round = 0;
+    } else if (rec.type == TraceRecord::Type::kRound) {
+      ++round;
+      ++result.rounds;
+      if (diagnosis.has_value()) {
+        produced.push_back({result.baselines, round, std::move(*diagnosis)});
+        ++result.diagnoses;
+      }
     }
   }
-  return events;
+  compare_events(recorded, produced, &result);
+  return result;
 }
 
 }  // namespace
 
 ReplayResult replay_in_process(const std::vector<TraceRecord>& trace) {
-  ReplayResult result;
-  if (trace.empty() || trace.front().type != TraceRecord::Type::kConfig) {
-    result.mismatches.push_back("trace has no config record");
-    return result;
-  }
-  std::string error;
-  const auto cfg = trace.front().config.resolve(&error);
-  if (!cfg) {
-    result.mismatches.push_back("bad trace config: " + error);
-    return result;
-  }
-  core::Troubleshooter ts(*cfg);
-  std::vector<DiagEvent> produced;
-  std::size_t episode = 0;
-  std::size_t round = 0;
-  for (const auto& rec : trace) {
-    switch (rec.type) {
-      case TraceRecord::Type::kConfig:
-        break;
-      case TraceRecord::Type::kBaseline:
-        ts.set_baseline(rec.mesh);
-        ++episode;
-        round = 0;
-        ++result.baselines;
-        break;
-      case TraceRecord::Type::kRound: {
-        ++round;
-        ++result.rounds;
-        const auto out =
-            ts.observe(rec.mesh, rec.cp.has_value() ? &*rec.cp : nullptr);
-        if (out.has_value()) {
-          produced.push_back(
-              {episode, round, core::to_json(out->graph, out->result)});
-          ++result.diagnoses;
-        }
-        break;
-      }
-      case TraceRecord::Type::kDiagnosis:
-        break;
+  std::optional<core::Troubleshooter> ts;
+  return replay(trace, [&ts](const TraceRecord& rec,
+                             std::optional<std::string>* diagnosis) {
+    if (rec.type == TraceRecord::Type::kConfig) {
+      std::string error;
+      const auto cfg = rec.config.resolve(&error);
+      if (!cfg) return "bad trace config: " + error;
+      ts.emplace(*cfg);
+    } else if (rec.type == TraceRecord::Type::kBaseline) {
+      ts->set_baseline(rec.mesh);
+    } else if (const auto out = ts->observe(
+                   rec.mesh, rec.cp.has_value() ? &*rec.cp : nullptr)) {
+      *diagnosis = core::to_json(out->graph, out->result);
     }
-  }
-  compare_events(recorded_events(trace), produced, &result);
-  return result;
+    return std::string();
+  });
 }
 
 ReplayResult replay_through(Client& client, const std::string& session,
                             const std::vector<TraceRecord>& trace) {
-  ReplayResult result;
-  if (trace.empty() || trace.front().type != TraceRecord::Type::kConfig) {
-    result.mismatches.push_back("trace has no config record");
-    return result;
-  }
-  std::string error;
-  HelloResponse hello;
-  if (!expect_response(
-          client.call(Request{HelloRequest{session, trace.front().config,
-                                          std::nullopt}},
+  return replay(trace, [&](const TraceRecord& rec,
+                           std::optional<std::string>* diagnosis) {
+    std::string error;
+    const char* op = "observe";
+    bool ok = false;
+    if (rec.type == TraceRecord::Type::kConfig) {
+      op = "hello";
+      ok = expect_response(
+          client.call(HelloRequest{session, rec.config, std::nullopt}, &error),
+          static_cast<HelloResponse*>(nullptr), &error);
+    } else if (rec.type == TraceRecord::Type::kBaseline) {
+      op = "set_baseline";
+      ok = expect_response(
+          client.call(SetBaselineRequest{session, rec.mesh, std::nullopt},
                       &error),
-          &hello, &error)) {
-    result.mismatches.push_back("hello failed: " + error);
-    return result;
-  }
-  std::vector<DiagEvent> produced;
-  std::size_t episode = 0;
-  std::size_t round = 0;
-  for (const auto& rec : trace) {
-    switch (rec.type) {
-      case TraceRecord::Type::kConfig:
-        break;
-      case TraceRecord::Type::kBaseline: {
-        error.clear();
-        SetBaselineResponse rsp;
-        if (!expect_response(
-                client.call(Request{SetBaselineRequest{session, rec.mesh,
-                                                     std::nullopt}},
-                            &error),
-                &rsp, &error)) {
-          result.mismatches.push_back("set_baseline failed: " + error);
-          return result;
-        }
-        ++episode;
-        round = 0;
-        ++result.baselines;
-        break;
-      }
-      case TraceRecord::Type::kRound: {
-        error.clear();
-        ObserveResponse rsp;
-        if (!expect_response(
-                client.call(Request{ObserveRequest{session, rec.mesh, rec.cp}},
-                            &error),
-                &rsp, &error)) {
-          result.mismatches.push_back("observe failed: " + error);
-          return result;
-        }
-        ++round;
-        ++result.rounds;
-        if (rsp.diagnosis.has_value()) {
-          produced.push_back({episode, round, *rsp.diagnosis});
-          ++result.diagnoses;
-        }
-        break;
-      }
-      case TraceRecord::Type::kDiagnosis:
-        break;
+          static_cast<SetBaselineResponse*>(nullptr), &error);
+    } else {
+      ObserveResponse rsp;
+      ok = expect_response(
+          client.call(ObserveRequest{session, rec.mesh, rec.cp}, &error), &rsp,
+          &error);
+      *diagnosis = std::move(rsp.diagnosis);
     }
-  }
-  compare_events(recorded_events(trace), produced, &result);
-  return result;
+    return ok ? std::string() : op + std::string(" failed: ") + error;
+  });
 }
 
 }  // namespace netd::svc

@@ -20,7 +20,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -37,8 +39,27 @@ struct TraceRecord {
   SessionConfig config;                      ///< kConfig
   probe::Mesh mesh;                          ///< kBaseline / kRound
   std::optional<core::ControlPlaneObs> cp;   ///< kRound
+  std::string src;                           ///< kRound (journal): "" = observe
+  std::optional<std::uint64_t> seq;          ///< kRound (journal)
   std::size_t round = 0;                     ///< kDiagnosis: 1-based round
   std::string diagnosis;                     ///< kDiagnosis: document text
+};
+
+/// The rules of every stored observation stream, checked one record at a
+/// time without running the solver: a config comes exactly once, and
+/// first; a round comes after a baseline and fits it (round_fits_baseline);
+/// a diagnosis names the round it follows. Folds the watermarks: a
+/// baseline clears them, and a round with a seq moves its source's.
+struct StreamRules {
+  bool config = false;
+  std::optional<probe::Mesh> pairs;  ///< the baseline's (src, dst) pairs
+  std::size_t round = 0;             ///< rounds since the baseline
+  std::map<std::string, std::uint64_t> watermarks;
+
+  /// Admits the stream's next record; false with `error` if refused.
+  [[nodiscard]] bool admit(const TraceRecord& rec, std::string* error);
+  /// Starts an episode on `mesh`, as a baseline record does.
+  void baseline(const probe::Mesh& mesh);
 };
 
 /// Streams trace records to `os` (one line each). The config line is
@@ -69,13 +90,18 @@ class TraceRecorder {
 /// One trace line on its own: std::nullopt (with `error`) on malformed
 /// JSON, a version other than 1, or a record whose fields do not decode.
 /// A diagnosis record's `round` is what the line says (0 when it is not
-/// an unsigned integer); read_trace checks it against the stream.
+/// an unsigned integer); StreamRules checks it against the stream.
 [[nodiscard]] std::optional<TraceRecord> parse_trace_line(
     std::string_view line, std::string* error);
 
+/// A journal record as a trace line of it decodes (hello is kConfig; obs
+/// and bobs are kRound with src and seq), held to its request's field
+/// rules: a bobs has a src and a seq >= 1, an obs seq is >= 1.
+[[nodiscard]] std::optional<TraceRecord> parse_journal_record(
+    std::string_view payload, std::string* error);
+
 /// Parses a whole trace. std::nullopt (with `error` naming the line) on
-/// malformed input or a structurally invalid stream (no leading config,
-/// round before baseline, diagnosis round mismatch).
+/// malformed input or a stream StreamRules refuses.
 [[nodiscard]] std::optional<std::vector<TraceRecord>> read_trace(
     std::istream& is, std::string* error);
 

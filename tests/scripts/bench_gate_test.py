@@ -41,6 +41,12 @@ class Judge(unittest.TestCase):
         self.assertGreater(bg.spread(values)[3], 0.2)
         self.assertEqual(bg.judge(values, ">=", 4.6, 0.2), "ok")
 
+    def test_wide_series_all_past_the_limit_fails(self):
+        # A mutant whose every ON/OFF pair reads past the 5% budget.
+        values = [1.20, 1.39, 1.69, 1.25, 1.45]
+        self.assertGreater(bg.spread(values)[3], 0.05)
+        self.assertEqual(bg.judge(values, "<=", 1.05, 0.05), "FAIL")
+
     def test_wide_series_straddling_the_limit_is_unresolved(self):
         values = [0.6, 1.4, 0.9, 2.0, 1.0]
         self.assertGreater(bg.spread(values)[3], 0.05)

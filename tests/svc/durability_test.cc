@@ -3,10 +3,11 @@
 // acceptance property is byte-identical recovery — diagnosis state and
 // the per-source watermarks that answer retries and redeliveries all
 // survive the restart. Session directories written record by record
-// pin what recovery accepts and what it quarantines; `netdiag wal` runs
-// as the real binary (NETDIAG_BIN, overridable by the same-named
-// environment variable).
+// pin what recovery accepts and what it quarantines, and that `netdiag
+// wal` renders the same verdict; it runs as the real binary (NETDIAG_BIN,
+// overridable by the same-named environment variable).
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -37,8 +38,10 @@ namespace {
 #define NETDIAG_BIN ""
 #endif
 
-/// `netdiag wal --state-dir DIR` with `flags`: its stdout.
-std::string run_wal(const std::string& state_dir, const std::string& flags) {
+/// `netdiag wal --state-dir DIR` with `flags`: its stdout, and its exit
+/// status in `status` when set.
+std::string run_wal(const std::string& state_dir, const std::string& flags,
+                    int* status = nullptr) {
   const char* env = std::getenv("NETDIAG_BIN");
   const std::string cmd = "'" + std::string(env ? env : NETDIAG_BIN) +
                           "' wal --state-dir '" + state_dir + "' " + flags +
@@ -50,7 +53,10 @@ std::string run_wal(const std::string& state_dir, const std::string& flags) {
   while (const std::size_t n = std::fread(buf, 1, sizeof(buf), p)) {
     out.append(buf, n);
   }
-  (void)::pclose(p);
+  const int wait_status = ::pclose(p);
+  if (status != nullptr) {
+    *status = WIFEXITED(wait_status) ? WEXITSTATUS(wait_status) : -1;
+  }
   return out;
 }
 
@@ -140,10 +146,20 @@ class DurabilityTest : public ::testing::Test {
     }
   }
 
+  /// `netdiag wal --json` passes every session under the state dir.
+  void expect_wal_clean() const {
+    int status = -1;
+    const std::string out = run_wal(state_dir_, "--json", &status);
+    EXPECT_EQ(status, 0) << out;
+    EXPECT_NE(out.find("\"corrupt\":false"), std::string::npos) << out;
+    EXPECT_EQ(out.find("\"corrupt\":true"), std::string::npos) << out;
+  }
+
   /// Starts a server beside `bad`, whose journal only a bug or a bad disk
-  /// could have written, and a healthy sibling session. `bad` must be
-  /// quarantined with every file renamed and every byte kept, while the
-  /// sibling recovers and keeps serving.
+  /// could have written, and a healthy sibling session. `netdiag wal`
+  /// first names `bad` corrupt, with a reason, and the sibling clean.
+  /// Then `bad` must be quarantined with every file renamed and every
+  /// byte kept, while the sibling recovers and keeps serving.
   void expect_quarantined_beside_sibling(const std::string& bad) {
     const std::string mesh = mesh_to_json(healthy_mesh()).dump();
     write_session("sibling", {R"({"t":"hello","config":)" + kConfig + "}",
@@ -154,6 +170,21 @@ class DurabilityTest : public ::testing::Test {
       files.emplace_back(f, util::file_size(f).value_or(0));
     }
     ASSERT_FALSE(files.empty());
+    int status = -1;
+    const std::string out = run_wal(state_dir_, "--json", &status);
+    EXPECT_EQ(status, 1) << out;
+    const auto wal = Json::parse(out);
+    ASSERT_TRUE(wal.has_value()) << out;
+    const Json* sessions = wal->find("sessions");
+    ASSERT_TRUE(sessions != nullptr && sessions->size() == 2u) << out;
+    for (std::size_t i = 0; i < sessions->size(); ++i) {
+      const Json& js = (*sessions)[i];
+      const bool is_bad = js.find("session")->as_string() == bad;
+      EXPECT_EQ(js.find("corrupt")->as_bool(), is_bad) << js.dump();
+      const Json* reason = js.find("reason");
+      EXPECT_EQ(reason != nullptr && !reason->as_string().empty(), is_bad)
+          << js.dump();
+    }
     Server server(durable_options());
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
@@ -242,6 +273,7 @@ TEST_F(DurabilityTest, EpochBumpsAndSessionSurvivesRestart) {
     EXPECT_EQ(hello.epoch, 2u);
     server.stop();
   }
+  expect_wal_clean();
 }
 
 TEST_F(DurabilityTest, RecoveredSessionKeepsItsConfig) {
@@ -278,6 +310,7 @@ TEST_F(DurabilityTest, RecoveredSessionKeepsItsConfig) {
   ASSERT_TRUE(rsp.has_value()) << error;
   EXPECT_NE(std::get_if<ErrorResponse>(&*rsp), nullptr);
   server.stop();
+  expect_wal_clean();
 }
 
 TEST_F(DurabilityTest, RestartedReplayIsByteIdenticalToUninterrupted) {
@@ -386,6 +419,7 @@ TEST_F(DurabilityTest, RestartedReplayIsByteIdenticalToUninterrupted) {
     EXPECT_EQ(got_query, want_query);
     server.stop();
   }
+  expect_wal_clean();
 }
 
 TEST_F(DurabilityTest, BatchWatermarksSurviveRestartAndDedupRedelivery) {
@@ -442,6 +476,7 @@ TEST_F(DurabilityTest, BatchWatermarksSurviveRestartAndDedupRedelivery) {
       << error;
   EXPECT_EQ(probe.ack, 3u);
   server.stop();
+  expect_wal_clean();
 }
 
 TEST_F(DurabilityTest, ObserveRetryCacheSurvivesRestart) {
@@ -485,6 +520,7 @@ TEST_F(DurabilityTest, ObserveRetryCacheSurvivesRestart) {
       c.call(Request{QueryRequest{"s", std::nullopt}}, &error), &q, &error))
       << error;
   server.stop();
+  expect_wal_clean();
 }
 
 TEST_F(DurabilityTest, SnapshotBoundsReplayAndPrunesSegments) {
@@ -532,6 +568,7 @@ TEST_F(DurabilityTest, SnapshotBoundsReplayAndPrunesSegments) {
       << error;
   EXPECT_EQ(obs.round, 11u);  // 10 before the restart, 1 after
   server.stop();
+  expect_wal_clean();
 }
 
 TEST_F(DurabilityTest, CorruptJournalQuarantinesAndFallsBackToAmnesia) {
@@ -588,6 +625,7 @@ TEST_F(DurabilityTest, CorruptJournalQuarantinesAndFallsBackToAmnesia) {
       << error;
   EXPECT_TRUE(hello.created);
   server.stop();
+  expect_wal_clean();
 }
 
 TEST_F(DurabilityTest, BatchRecordNarrowerThanItsBaselineQuarantines) {
@@ -597,6 +635,17 @@ TEST_F(DurabilityTest, BatchRecordNarrowerThanItsBaselineQuarantines) {
                            R"({"t":"bobs","src":"agent-1","seq":1,"mesh":)" +
                                wide_mesh_json(1) + "}"});
   expect_quarantined_beside_sibling("narrow");
+}
+
+TEST_F(DurabilityTest, BatchRecordTheLivePathWouldRefuseQuarantines) {
+  // observe_batch refuses an empty src and a seq of 0, so no server
+  // journals such an item.
+  write_session("fields", {R"({"t":"hello","config":)" + kConfig + "}",
+                           R"({"t":"baseline","mesh":)" + wide_mesh_json(1) +
+                               "}",
+                           R"({"t":"bobs","src":"","seq":0,"mesh":)" +
+                               wide_mesh_json(1) + "}"});
+  expect_quarantined_beside_sibling("fields");
 }
 
 TEST_F(DurabilityTest, RecordWithPairsOutOfBaselineOrderQuarantines) {
@@ -754,6 +803,7 @@ TEST_F(DurabilityTest, FsyncAlwaysServesAndRecoversIdentically) {
       << error;
   EXPECT_EQ(obs.round, 2u);
   server.stop();
+  expect_wal_clean();
 }
 
 }  // namespace

@@ -255,7 +255,8 @@ TEST_F(JournalTest, LsnGapBetweenSegmentsQuarantines) {
 
 // The verb renders recovery's own verdict: it passes a healthy journal
 // (exit 0), and the journal it calls corrupt (an LSN gap before a torn
-// newest segment, exit 1) is one recovery quarantines.
+// newest segment, exit 1) is one recovery quarantines. The verb judges
+// content too, so the journal holds a real session's records.
 TEST_F(JournalTest, WalVerbReportsTheVerdictRecoveryActsOn) {
   ASSERT_FALSE(netdiag_bin().empty()) << "NETDIAG_BIN unset";
   const std::string state = dir_ + "/state";
@@ -267,7 +268,11 @@ TEST_F(JournalTest, WalVerbReportsTheVerdictRecoveryActsOn) {
   std::string error;
   auto j = SessionJournal::open(opts, &error);
   ASSERT_NE(j, nullptr) << error;
-  for (const char* rec : {"a", "b", "c", "d"}) {
+  const probe::Mesh mesh;
+  for (const std::string& rec :
+       {hello_record(SessionConfig{}), baseline_record(mesh),
+        observation_record("", std::nullopt, mesh, nullptr),
+        observation_record("", std::nullopt, mesh, nullptr)}) {
     ASSERT_GT(j->append(rec, &error), 0u) << error;
   }
   j.reset();

@@ -10,11 +10,14 @@
 // records with valid CRCs, and starts a server over the copy. Recovery
 // must either rebuild the session so that it serves hello, query and a
 // baseline-sized observe, or quarantine it with every file renamed and
-// every byte kept; the sibling always recovers.
+// every byte kept; the sibling always recovers. The verdict `netdiag
+// wal` renders (session_damage), taken before the server starts, names
+// damage exactly when recovery quarantines.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -298,6 +301,16 @@ class RecoveryFuzz : public ::testing::Test {
     return pairs;
   }
 
+  /// The verdict `netdiag wal` renders on session directory `sdir`: why
+  /// recovery would quarantine it, or "".
+  static std::string verdict(const std::string& sdir) {
+    Inspection insp;
+    std::string error;
+    EXPECT_TRUE(inspect_session_dir(sdir, &insp, &error)) << error;
+    std::map<std::string, std::uint64_t> watermarks;
+    return session_damage(insp, &watermarks);
+  }
+
   /// Starts a server over the mutant; false once a check failed.
   bool check_mutant(const std::string& dir, std::size_t pairs,
                     bool* quarantined) {
@@ -374,8 +387,10 @@ TEST_F(RecoveryFuzz, MutatedSessionRecoversOrIsQuarantinedWhole) {
     util::Rng rng(seed);
     const std::string dir = root_ + "/mutant";
     const std::size_t pairs = write_mutant(dir, rng);
+    const std::string damage = verdict(dir + "/sessions/fuzz");
     bool q = false;
     if (!check_mutant(dir, pairs, &q)) break;  // first failing seed only
+    ASSERT_EQ(!damage.empty(), q) << damage;
     quarantined += q ? 1 : 0;
   }
   std::cout << "[ recovery fuzz ] " << kSeeds << " seeds: "

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/runner.h"
+#include "svc/journal.h"
 
 namespace netd::svc {
 namespace {
@@ -154,6 +157,60 @@ TEST(Trace, RejectsStructurallyInvalidStreams) {
             "(0,1)");
   std::istringstream aligned(episode(p01 + "," + p10));
   EXPECT_TRUE(read_trace(aligned, &error).has_value()) << error;
+
+  // The same rules over a session journal's records, plus the field rules
+  // of the requests those records come from.
+  const std::string hello =
+      R"({"t":"hello","config":)"
+      R"({"threshold":1,"algo":"nd-bgpigp","granularity":"per-neighbor"}})";
+  const std::string base =
+      R"({"t":"baseline","mesh":{"paths":[)" + p01 + "," + p10 + "]}}";
+  auto obs = [](const std::string& head, const std::string& paths) {
+    return R"({"t":)" + head + R"(,"mesh":{"paths":[)" + paths + "]}}";
+  };
+  const std::string pairs = p01 + "," + p10;
+  const std::vector<std::pair<std::vector<std::string>, std::string>>
+      journals = {
+          {{}, "names the session config"},
+          {{base}, "config record must come first"},
+          {{hello, hello}, "config must be the first record"},
+          {{hello, obs(R"("obs")", pairs)}, "round before baseline"},
+          {{hello, base, obs(R"("bobs","src":"a","seq":1)", p01)},
+           "mesh covers 1 pairs but the baseline covers 2"},
+          {{hello, base, obs(R"("obs")", p10 + "," + p01)},
+           "mesh pair 0 is (1,0) but the baseline's pair 0 is (0,1)"},
+          {{hello, base, obs(R"("bobs","src":"","seq":1)", pairs)},
+           "src must not be empty"},
+          {{hello, base, obs(R"("bobs","seq":1)", pairs)},
+           "missing src"},
+          {{hello, base, obs(R"("bobs","src":"a","seq":0)", pairs)},
+           "seq must be >= 1"},
+          {{hello, base, obs(R"("bobs","src":"a")", pairs)},
+           "seq must be >= 1"},
+          {{hello, base, obs(R"("obs","seq":0)", pairs)}, "seq must be >= 1"},
+          {{hello, base, obs(R"("round")", pairs)}, "unknown record type"},
+      };
+  const auto judge = [](const std::vector<std::string>& records,
+                        std::map<std::string, std::uint64_t>* acks) {
+    SessionReader reader(std::nullopt);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      (void)reader.next(i + 1, records[i]);
+    }
+    if (acks != nullptr) *acks = reader.rules.watermarks;
+    return reader.damage();
+  };
+  for (const auto& [records, why] : journals) {
+    EXPECT_NE(judge(records, nullptr).find(why), std::string::npos) << why;
+  }
+  std::map<std::string, std::uint64_t> acks;
+  EXPECT_EQ(judge({hello, base, obs(R"("obs","seq":2)", pairs),
+                   obs(R"("bobs","src":"a","seq":1)", pairs)},
+                  &acks),
+            "");
+  EXPECT_EQ(acks, (std::map<std::string, std::uint64_t>{{"", 2}, {"a", 1}}));
+  EXPECT_EQ(judge({hello, base, obs(R"("obs","seq":2)", pairs), base}, &acks),
+            "");
+  EXPECT_TRUE(acks.empty());
 }
 
 TEST(Trace, DiagnosisRoundMustMatchStreamPosition) {
